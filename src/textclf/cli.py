@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -215,7 +216,6 @@ def _build_parser() -> _Parser:
                    action="store_const", const=True)
     p.add_argument("--cv", type=int, help="run k-fold cross-validation and write a report")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
 
     p = sub.add_parser("eval", help="score predictions against gold labels")
     p.add_argument("--gold", required=True)
@@ -297,7 +297,6 @@ def _make_trainer(config: dict, embeddings):
                 embeddings=embeddings,
                 epochs=config["epochs"], batch_size=config["batch_size"],
                 learning_rate=config["learning_rate"], seed=config["seed"],
-                threads=config["threads"],
             )
     elif model == "fasttext":
         def make():
@@ -317,7 +316,7 @@ def _cmd_train(args) -> int:
         "model": "convlstm", "task": "doc_classification", "epochs": 5,
         "batch_size": 128, "learning_rate": 0.05, "seq_len": None, "emb_dim": 100,
         "filters_per_channel": 32, "lstm_units": 32, "vectors": None,
-        "freeze_embeddings": False, "cv": None, "seed": 0, "threads": 1,
+        "freeze_embeddings": False, "cv": None, "seed": 0,
     }
     config = _merge_config(args, defaults)
     preset = TASK_PRESETS[config["task"]]
@@ -412,19 +411,22 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# documents per forward pass, so predict memory does not grow with the input
+PREDICT_CHUNK = 256
+
+
 def _cmd_predict(args) -> int:
     model = load_classifier(args.model_dir)
-    docs = []
-    for line in sys.stdin:
-        docs.append(tuple(line.split()))
-    if docs:
-        probs = model.predict_proba(docs)
-        classes = model.classes_
-        for row in probs:
+    classes = model.classes_
+    lines = iter(sys.stdin)
+    while True:
+        docs = [tuple(line.split()) for line in itertools.islice(lines, PREDICT_CHUNK)]
+        if not docs:
+            return 0
+        for row in model.predict_proba(docs):
             label = classes[int(np.argmax(row))]
             values = ",".join(_format_float(v) for v in row)
             sys.stdout.write(f"{label}\t{values}\n")
-    return 0
 
 
 def _cmd_report(args) -> int:

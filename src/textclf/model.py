@@ -86,6 +86,9 @@ class ConvLstmConfig:
             raise ConfigurationError("binary loss requires exactly 2 classes")
         if self.lstm_branch not in ("final", "temporal_max"):
             raise ConfigurationError(f"unknown lstm_branch {self.lstm_branch!r}")
+        if self.lstm_mode != "dense":
+            # conv mode would read the (B, D) step rows as one (L, C) sequence mixing the batch
+            raise ConfigurationError(f"lstm_mode {self.lstm_mode!r} is not supported; use 'dense'")
 
     @property
     def concat_width(self) -> int:
@@ -167,72 +170,29 @@ class ConvLstmNetwork:
         )
         self.head_b = Tensor(np.zeros(cfg.n_classes, dtype=np.float32), requires_grad=True)
 
-    def parameters(self) -> dict:
-        params = {}
-        if not self.cfg.freeze_embeddings:
-            params["embedding"] = self.embedding
+    def tensors(self) -> dict:
+        """Every weight by its checkpoint name, in checkpoint order."""
+        named = {"embedding": self.embedding}
         for idx, (ksize, kernels, bias) in enumerate(self.channels):
-            params[f"conv{idx}_k{ksize}_kernels"] = kernels
-            params[f"conv{idx}_k{ksize}_bias"] = bias
-        for name, tensor in self.lstm.tensors().items():
-            params[f"lstm_{name}"] = tensor
-        params["head_w"] = self.head_w
-        params["head_b"] = self.head_b
+            named[f"conv{idx}_k{ksize}_kernels"] = kernels
+            named[f"conv{idx}_k{ksize}_bias"] = bias
+        named.update({f"lstm_{name}": tensor for name, tensor in self.lstm.tensors().items()})
+        named.update(head_w=self.head_w, head_b=self.head_b)
+        return named
+
+    def parameters(self) -> dict:
+        params = self.tensors()
+        if self.cfg.freeze_embeddings:
+            del params["embedding"]
         return params
 
-    def _replica(self) -> "ConvLstmNetwork":
-        """Shallow copy sharing weight arrays but owning its gradients.
-
-        Replicas let shards run forward/backward concurrently without
-        racing on grad buffers; weights are only read during the pass.
-        """
-
-        def share(tensor: Tensor) -> Tensor:
-            dup = Tensor.__new__(Tensor)
-            dup.data = tensor.data
-            dup.grad = None
-            dup.requires_grad = tensor.requires_grad
-            dup._parents = ()
-            dup._backward = None
-            return dup
-
-        dup = object.__new__(ConvLstmNetwork)
-        dup.cfg = self.cfg
-        dup.vocab_size = self.vocab_size
-        dup.seed = self.seed
-        dup.embedding = share(self.embedding)
-        dup.channels = [
-            (ksize, share(kernels), share(bias))
-            for ksize, kernels, bias in self.channels
-        ]
-        dup.lstm = nn.LstmParams(
-            w_x={g: share(t) for g, t in self.lstm.w_x.items()},
-            w_h={g: share(t) for g, t in self.lstm.w_h.items()},
-            b={g: share(t) for g, t in self.lstm.b.items()},
-            w_c=(
-                {g: share(t) for g, t in self.lstm.w_c.items()}
-                if self.lstm.w_c is not None else None
-            ),
-            mode=self.lstm.mode,
-        )
-        dup.head_w = share(self.head_w)
-        dup.head_b = share(self.head_b)
-        return dup
-
     def all_arrays(self) -> dict:
-        arrays = {"embedding": self.embedding.data}
-        for idx, (ksize, kernels, bias) in enumerate(self.channels):
-            arrays[f"conv{idx}_k{ksize}_kernels"] = kernels.data
-            arrays[f"conv{idx}_k{ksize}_bias"] = bias.data
-        for name, tensor in self.lstm.tensors().items():
-            arrays[f"lstm_{name}"] = tensor.data
-        arrays["head_w"] = self.head_w.data
-        arrays["head_b"] = self.head_b.data
-        return arrays
+        return {name: tensor.data for name, tensor in self.tensors().items()}
 
     def forward(self, ids: np.ndarray, train_mode: bool = False, rng=None,
-                trace: Optional[dict] = None) -> Tensor:
-        """Class probability rows for a batch of encoded documents."""
+                trace: Optional[dict] = None, *, logits: bool = False) -> Tensor:
+        """Class probability rows for a batch of encoded documents, or the
+        pre-softmax scores with ``logits=True``."""
         ids = np.asarray(ids, dtype=np.int64)
         single = ids.ndim == 1
         if single:
@@ -243,44 +203,35 @@ class ConvLstmNetwork:
             )
         rng = check_random_state(rng)
         cfg = self.cfg
-        emb = nn.embedding_lookup(self.embedding, ids)
-        if trace is not None:
-            trace["embedded"] = emb.shape[1:]
+
+        def traced(name, tensor):
+            if trace is not None:
+                trace[name] = tensor.shape[1:]
+            return tensor
+
+        emb = traced("embedded", nn.embedding_lookup(self.embedding, ids))
         emb = nn.gaussian_noise(emb, cfg.noise_sigma, train_mode, rng)
 
         branch_outputs = []
         for idx, (ksize, kernels, bias) in enumerate(self.channels):
-            conv = nn.relu(nn.conv1d(emb, kernels, bias))
-            if trace is not None:
-                trace[f"channel{idx}_conv"] = conv.shape[1:]
+            conv = traced(f"channel{idx}_conv", nn.relu(nn.conv1d(emb, kernels, bias)))
             conv = nn.dropout(conv, cfg.dropout_rate, train_mode, rng)
-            pooled = nn.maxpool1d(conv, cfg.pool)
-            if trace is not None:
-                trace[f"channel{idx}_pooled"] = pooled.shape[1:]
-            channel_vec = nn.global_maxpool(pooled)
-            if trace is not None:
-                trace[f"channel{idx}_vector"] = channel_vec.shape[1:]
-            branch_outputs.append(channel_vec)
+            pooled = traced(f"channel{idx}_pooled", nn.maxpool1d(conv, cfg.pool))
+            branch_outputs.append(traced(f"channel{idx}_vector", nn.global_maxpool(pooled)))
 
-        steps = [emb[:, t, :] for t in range(cfg.seq_len)]
-        hidden_states, final_state = nn.lstm_forward(steps, self.lstm)
+        hidden_states, final_state = nn.lstm_forward(emb, self.lstm)
         if cfg.lstm_branch == "final":
             lstm_vec = final_state.hidden
         else:
-            lstm_vec = hidden_states[0]
-            for h in hidden_states[1:]:
-                lstm_vec = lstm_vec.maximum(h)
-        if trace is not None:
-            trace["lstm_vector"] = lstm_vec.shape[1:]
-        branch_outputs.append(lstm_vec)
+            lstm_vec = nn.global_maxpool(hidden_states)
+        branch_outputs.append(traced("lstm_vector", lstm_vec))
 
-        merged = nn.concat(branch_outputs, axis=-1)
-        if trace is not None:
-            trace["concatenated"] = merged.shape[1:]
+        merged = traced("concatenated", nn.concat(branch_outputs, axis=-1))
         merged = nn.dropout(merged, cfg.dropout_rate, train_mode, rng)
-        logits = nn.dense(merged, self.head_w, self.head_b)
-        probs = nn.softmax(logits)
-        return probs[0] if single else probs
+        out = nn.dense(merged, self.head_w, self.head_b)
+        if not logits:
+            out = nn.softmax(out)
+        return out[0] if single else out
 
     def shape_trace(self) -> dict:
         """Intermediate shapes (batch dimension removed) for one document."""
@@ -301,18 +252,9 @@ def build_conv_lstm(cfg: ConvLstmConfig, embeddings: Optional[EmbeddingModel] = 
     )
 
 
-def _batch_loss(net: ConvLstmNetwork, ids, labels, train_mode, rng):
-    probs = net.forward(ids, train_mode=train_mode, rng=rng)
-    if net.cfg.loss_kind == "binary":
-        target = labels.astype(np.float32)
-        return nn.cross_entropy_loss(probs[:, 1], target, kind="binary"), probs
-    target = nn.one_hot(labels, net.cfg.n_classes)
-    return nn.cross_entropy_loss(probs, target, kind="categorical"), probs
-
-
 def train_network(net: ConvLstmNetwork, train_data, valid_data=None, epochs: int = 10,
                   batch_size: int = 128, learning_rate: float = 0.05, seed: int = 0,
-                  threads: int = 1, optimizer=nn.Adagrad) -> TrainHistory:
+                  optimizer=nn.Adagrad) -> TrainHistory:
     """Mini-batch training of the classifier graph.
 
     ``train_data``/``valid_data`` are (ids, labels) pairs of integer
@@ -320,7 +262,7 @@ def train_network(net: ConvLstmNetwork, train_data, valid_data=None, epochs: int
     optimizer(params, learning_rate=...); the adaptive-gradient default
     matches the rest of the workbench.  Dropout and noise are active only
     while training; the embedding padding row is pinned to zero.  Runs
-    are deterministic for a fixed seed and thread count.
+    are deterministic for a fixed seed.
     """
     ids, labels = train_data
     ids = np.asarray(ids, dtype=np.int64)
@@ -340,8 +282,16 @@ def train_network(net: ConvLstmNetwork, train_data, valid_data=None, epochs: int
         n_batches = 0
         for lo in range(0, len(ids), batch_size):
             batch = order[lo : lo + batch_size]
-            loss = _train_batch(net, ids, labels, batch, optimizer, layer_rng, threads)
-            epoch_loss += loss
+            optimizer.zero_grad()
+            # the binary loss over two classes is this same quantity
+            scores = net.forward(ids[batch], train_mode=True, rng=layer_rng, logits=True)
+            loss = nn.softmax_cross_entropy(scores, labels[batch])
+            loss.backward()
+            if net.embedding.requires_grad and net.embedding.grad is not None:
+                net.embedding.grad[0] = 0.0
+            optimizer.step()
+            epoch_loss += float(loss.data)
+            del scores, loss  # free this batch's tape before the next forward builds one
             n_batches += 1
         history.train_loss.append(epoch_loss / n_batches)
         if valid_data is not None:
@@ -352,53 +302,6 @@ def train_network(net: ConvLstmNetwork, train_data, valid_data=None, epochs: int
     return history
 
 
-def _train_batch(net, ids, labels, batch, optimizer, layer_rng, threads):
-    optimizer.zero_grad()
-    if threads <= 1:
-        loss, _ = _batch_loss(net, ids[batch], labels[batch], True, layer_rng)
-        loss.backward()
-        loss_value = float(loss.data)
-    else:
-        # Data-parallel accumulation: each shard runs forward/backward on
-        # its own replica, then gradients reduce in fixed shard order so
-        # results are reproducible for a given thread count.
-        from concurrent.futures import ThreadPoolExecutor
-
-        shards = np.array_split(batch, threads)
-        shards = [s for s in shards if len(s)]
-        seeds = [int(layer_rng.integers(2**31)) for _ in shards]
-        replicas = [net._replica() for _ in shards]
-
-        def run(index):
-            loss, _ = _batch_loss(
-                replicas[index], ids[shards[index]], labels[shards[index]],
-                True, check_random_state(seeds[index]),
-            )
-            loss.backward()
-            return len(shards[index]), float(loss.data)
-
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            results = list(pool.map(run, range(len(shards))))
-        total = sum(n for n, _ in results)
-        loss_value = sum(n * l for n, l in results) / total
-        master_params = net.parameters()
-        for name, master in master_params.items():
-            pieces = []
-            for (n, _), replica in zip(results, replicas):
-                rep_grad = replica.parameters()[name].grad
-                if rep_grad is not None:
-                    pieces.append((n / total) * rep_grad)
-            if pieces:
-                acc = pieces[0].copy()
-                for piece in pieces[1:]:
-                    acc += piece
-                master.grad = acc
-    if net.embedding.requires_grad and net.embedding.grad is not None:
-        net.embedding.grad[0] = 0.0
-    optimizer.step()
-    return loss_value
-
-
 def _evaluate(net, data) -> tuple[float, float]:
     ids, labels = data
     ids = np.asarray(ids, dtype=np.int64)
@@ -407,9 +310,11 @@ def _evaluate(net, data) -> tuple[float, float]:
     preds = []
     for lo in range(0, len(ids), 256):
         chunk = slice(lo, lo + 256)
-        loss, probs = _batch_loss(net, ids[chunk], labels[chunk], False, None)
+        with nn.no_grad():
+            scores = net.forward(ids[chunk], train_mode=False, logits=True)
+            loss = nn.softmax_cross_entropy(scores, labels[chunk])
         losses.append(float(loss.data) * (min(lo + 256, len(ids)) - lo))
-        preds.extend(np.argmax(probs.data, axis=1).tolist())
+        preds.extend(np.argmax(scores.data, axis=1).tolist())
     classes = list(range(net.cfg.n_classes))
     matrix = confusion_matrix(labels.tolist(), preds, classes)
     _, _, f1, _ = macro_prf(matrix)
@@ -418,8 +323,9 @@ def _evaluate(net, data) -> tuple[float, float]:
 
 def predict_proba(net: ConvLstmNetwork, encoded) -> np.ndarray:
     """Eval-mode class distribution(s) for one or many encoded documents."""
-    out = net.forward(np.asarray(encoded, dtype=np.int64), train_mode=False)
-    return out.data.copy()
+    with nn.no_grad():
+        out = net.forward(np.asarray(encoded, dtype=np.int64), train_mode=False)
+    return out.data
 
 
 class ConvLstmClassifier(ParamsMixin):
@@ -436,7 +342,7 @@ class ConvLstmClassifier(ParamsMixin):
                  freeze_embeddings=False, loss_kind="categorical", lstm_mode="dense",
                  lstm_branch="final", peephole=False, embeddings=None,
                  oov_strategy="uniform", min_df=1, epochs=10, batch_size=128,
-                 learning_rate=0.05, seed=0, threads=1):
+                 learning_rate=0.05, seed=0):
         self.seq_len = seq_len
         self.emb_dim = emb_dim
         self.kernel_sizes = kernel_sizes
@@ -459,7 +365,6 @@ class ConvLstmClassifier(ParamsMixin):
         self.batch_size = batch_size
         self.learning_rate = learning_rate
         self.seed = seed
-        self.threads = threads
 
     def _make_config(self, n_classes: int) -> ConvLstmConfig:
         return ConvLstmConfig(
@@ -504,7 +409,7 @@ class ConvLstmClassifier(ParamsMixin):
         self.history_ = train_network(
             self.network_, (train_ids, train_labels), valid_data,
             epochs=self.epochs, batch_size=self.batch_size,
-            learning_rate=self.learning_rate, seed=self.seed, threads=self.threads,
+            learning_rate=self.learning_rate, seed=self.seed,
         )
         return self
 
@@ -565,14 +470,8 @@ class ConvLstmClassifier(ParamsMixin):
         # even if the original run started from pretrained vectors
         build_cfg = ConvLstmConfig(**{**cfg_dict, "embedding_init": "random"})
         net = ConvLstmNetwork(build_cfg, len(vocab), seed=sidecar["train"]["seed"])
-        for name, tensor in [("embedding", net.embedding), ("head_w", net.head_w),
-                             ("head_b", net.head_b)]:
+        for name, tensor in net.tensors().items():
             tensor.data[...] = arrays[name]
-        for idx, (ksize, kernels, bias) in enumerate(net.channels):
-            kernels.data[...] = arrays[f"conv{idx}_k{ksize}_kernels"]
-            bias.data[...] = arrays[f"conv{idx}_k{ksize}_bias"]
-        for name, tensor in net.lstm.tensors().items():
-            tensor.data[...] = arrays[f"lstm_{name}"]
         est.network_ = net
         return est
 

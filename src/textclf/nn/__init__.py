@@ -1,6 +1,6 @@
 """Minimal reverse-mode differentiable numeric core."""
 
-from .tensor import Tensor, ShapeError, concat, matmul
+from .tensor import Tensor, ShapeError, concat, matmul, no_grad
 from .layers import (
     conv1d,
     maxpool1d,
@@ -17,7 +17,7 @@ from .layers import (
     lstm_step,
     lstm_forward,
 )
-from .losses import cross_entropy_loss, one_hot
+from .losses import cross_entropy_loss, softmax_cross_entropy, one_hot
 from .optim import Adagrad, AdagradState, adagrad_update
 from .gradcheck import finite_difference_check
 from .checkpoint import save_checkpoint, load_checkpoint, FORMAT_VERSION
@@ -27,6 +27,7 @@ __all__ = [
     "ShapeError",
     "concat",
     "matmul",
+    "no_grad",
     "conv1d",
     "maxpool1d",
     "global_maxpool",
@@ -42,6 +43,7 @@ __all__ = [
     "lstm_step",
     "lstm_forward",
     "cross_entropy_loss",
+    "softmax_cross_entropy",
     "one_hot",
     "Adagrad",
     "AdagradState",

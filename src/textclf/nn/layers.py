@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from ..base import check_random_state
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, stack
 
 __all__ = [
     "conv1d",
@@ -39,6 +39,37 @@ def _batched(x: Tensor) -> tuple[np.ndarray, bool]:
     raise ShapeError(f"expected (L,C) or (B,L,C), got {x.data.shape}")
 
 
+def _im2col(x: np.ndarray, width: int) -> np.ndarray:
+    """Same-padded windows: (N, L, C) -> (N, L, width*C).
+
+    Zero padding is split (width-1)//2 left, remainder right.  Width 1 is
+    the dense case and returns ``x`` itself.
+    """
+    if width == 1:
+        return x
+    n, length, channels = x.shape
+    left = (width - 1) // 2
+    xp = np.pad(x, ((0, 0), (left, width - 1 - left), (0, 0)))
+    s0, s1, s2 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, length, width, channels), strides=(s0, s1, s1, s2)
+    )
+    return windows.reshape(n, length, width * channels).copy()
+
+
+def _col2im(dcols: np.ndarray, width: int) -> np.ndarray:
+    """Adjoint of ``_im2col``: (N, L, width*C) -> (N, L, C)."""
+    if width == 1:
+        return dcols
+    n, length, wc = dcols.shape
+    left = (width - 1) // 2
+    d = dcols.reshape(n, length, width, wc // width)
+    dxp = np.zeros((n, length + width - 1, wc // width), dtype=dcols.dtype)
+    for k in range(width):
+        dxp[:, k : k + length, :] += d[:, :, k, :]
+    return dxp[:, left : left + length, :]
+
+
 def conv1d(x: Tensor, kernels: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Same-padded 1-D convolution along the length axis.
 
@@ -55,35 +86,22 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         raise ShapeError(f"kernel channels {Ck} do not match input channels {C}")
     if bias is not None and bias.data.shape != (F,):
         raise ShapeError(f"bias must be ({F},), got {bias.data.shape}")
-    left = (K - 1) // 2
-    right = K - 1 - left
-    xp = np.pad(xd, ((0, 0), (left, right), (0, 0)))
-    s0, s1, s2 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(B, L, K, C), strides=(s0, s1, s1, s2)
-    )
-    cols = windows.reshape(B, L, K * C).copy()
+    cols = _im2col(xd, K).reshape(B * L, K * C)
     wf = kernels.data.reshape(K * C, F)
-    out = cols @ wf
+    out = (cols @ wf).reshape(B, L, F)
     if bias is not None:
         out = out + bias.data
     if single:
         out = out[0]
 
     def backward(g):
-        gb = g[None, ...] if single else g
+        gb = g.reshape(B * L, F)
         if kernels.requires_grad:
-            kernels._accumulate(
-                np.einsum("blk,blf->kf", cols, gb).reshape(K, C, F)
-            )
+            kernels._accumulate((cols.T @ gb).reshape(K, C, F))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(gb.sum(axis=(0, 1)))
+            bias._accumulate(gb.sum(axis=0))
         if x.requires_grad:
-            dcols = (gb @ wf.T).reshape(B, L, K, C)
-            dxp = np.zeros_like(xp)
-            for k in range(K):
-                dxp[:, k : k + L, :] += dcols[:, :, k, :]
-            dx = dxp[:, left : left + L, :]
+            dx = _col2im((gb @ wf.T).reshape(B, L, K * C), K)
             x._accumulate(dx[0] if single else dx)
 
     parents = (x, kernels) if bias is None else (x, kernels, bias)
@@ -228,14 +246,9 @@ class LstmParams:
         return self.w_c is not None
 
     def tensors(self) -> dict:
-        out = {}
-        for gate in _GATES:
-            out[f"w_x{gate}"] = self.w_x[gate]
-            out[f"w_h{gate}"] = self.w_h[gate]
-            out[f"b_{gate}"] = self.b[gate]
-        if self.w_c is not None:
-            for gate in ("i", "f", "o"):
-                out[f"w_c{gate}"] = self.w_c[gate]
+        out = {f"{name}{gate}": table[gate] for gate in _GATES
+               for name, table in (("w_x", self.w_x), ("w_h", self.w_h), ("b_", self.b))}
+        out.update({f"w_c{gate}": t for gate, t in (self.w_c or {}).items()})
         return out
 
 
@@ -296,56 +309,143 @@ def lstm_step(x: Tensor, state: LstmState, params: LstmParams):
     Gates are sigmoids of input/state transforms (plus peephole products
     with the cell when enabled); the new cell blends the previous cell and
     the tanh candidate, and the hidden output is the output gate times the
-    tanh of the new cell.  Returns (new_state, gate_dict).
+    tanh of the new cell.  Returns (new_state, gate_dict).  This per-step
+    tape is the reference the fused ``lstm_forward`` is tested against.
     """
     h, c = state.hidden, state.cell
-    mode = params.mode
-    pre_i = _transform(x, params.w_x["i"], mode) + _transform(h, params.w_h["i"], mode) + params.b["i"]
-    pre_f = _transform(x, params.w_x["f"], mode) + _transform(h, params.w_h["f"], mode) + params.b["f"]
+    pre = {
+        g: _transform(x, params.w_x[g], params.mode) + _transform(h, params.w_h[g], params.mode)
+        + params.b[g]
+        for g in _GATES
+    }
     if params.peephole:
-        pre_i = pre_i + params.w_c["i"] * c
-        pre_f = pre_f + params.w_c["f"] * c
-    i = pre_i.sigmoid()
-    f = pre_f.sigmoid()
-    candidate = (
-        _transform(x, params.w_x["c"], mode) + _transform(h, params.w_h["c"], mode) + params.b["c"]
-    ).tanh()
-    c_new = f * c + i * candidate
-    pre_o = _transform(x, params.w_x["o"], mode) + _transform(h, params.w_h["o"], mode) + params.b["o"]
+        pre["i"] = pre["i"] + params.w_c["i"] * c
+        pre["f"] = pre["f"] + params.w_c["f"] * c
+    i, f = pre["i"].sigmoid(), pre["f"].sigmoid()
+    c_new = f * c + i * pre["c"].tanh()
     if params.peephole:
-        pre_o = pre_o + params.w_c["o"] * c_new
-    o = pre_o.sigmoid()
-    h_new = o * c_new.tanh()
-    return LstmState(hidden=h_new, cell=c_new), {"i": i, "f": f, "o": o}
+        pre["o"] = pre["o"] + params.w_c["o"] * c_new
+    o = pre["o"].sigmoid()
+    return LstmState(hidden=o * c_new.tanh(), cell=c_new), {"i": i, "f": f, "o": o}
 
 
 def lstm_forward(xs, params: LstmParams, state: Optional[LstmState] = None):
-    """Run lstm_step over a sequence of inputs; returns (states, final_state).
+    """Run the recurrence over a sequence; returns (hidden_states, final_state).
 
-    ``xs`` is an iterable of step inputs, each shaped as one lstm_step
-    input.  The initial state defaults to zeros matching the first step.
+    ``xs`` is either one Tensor holding a batched sequence, (B, T, D) in
+    dense mode or (B, T, L, C) in conv mode, or a list of step inputs each
+    shaped as one ``lstm_step`` input.  Hidden states come back in the same
+    form: a (B, T, ...) Tensor or a list of step Tensors.  The initial
+    state defaults to zeros.
     """
+    step_ndim = 1 if params.mode == "dense" else 2
+    if isinstance(xs, Tensor):
+        if xs.data.ndim != step_ndim + 2:
+            raise ShapeError(f"{params.mode} sequences are {step_ndim + 2}-D, got {xs.data.shape}")
+        hc = _lstm_sequence(xs, params, state)
+        return hc[0], LstmState(hidden=hc[0, :, -1], cell=hc[1, :, -1])
     xs = list(xs)
     if not xs:
         raise ValueError("lstm_forward needs at least one step input")
-    if state is None:
-        state = _zero_state(xs[0], params)
-    hidden_states = []
-    for x in xs:
-        state, _ = lstm_step(x, state, params)
-        hidden_states.append(state.hidden)
-    return hidden_states, state
+    unbatched = xs[0].data.ndim == step_ndim
+    seq = stack(xs, axis=0 if unbatched else 1)
+    hc = _lstm_sequence(seq.reshape((1,) + seq.shape) if unbatched else seq, params, state)
+    lead = (0,) if unbatched else (slice(None),)
+    final = LstmState(hidden=hc[(0, *lead, -1)], cell=hc[(1, *lead, -1)])
+    return [hc[(0, *lead, t)] for t in range(len(xs))], final
 
 
-def _zero_state(x: Tensor, params: LstmParams) -> LstmState:
-    units = params.b["i"].data.shape[0]
-    dtype = x.data.dtype
-    if params.mode == "dense":
-        shape = (units,) if x.data.ndim == 1 else (x.data.shape[0], units)
-    else:
-        if x.data.ndim == 2:
-            shape = (x.data.shape[0], units)
-        else:
-            shape = (x.data.shape[0], x.data.shape[1], units)
-    zeros = np.zeros(shape, dtype=dtype)
-    return LstmState(hidden=Tensor(zeros), cell=Tensor(zeros.copy()))
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 0.5 * np.tanh(0.5 * x) + 0.5
+
+
+def _lstm_sequence(x: Tensor, params: LstmParams, state: Optional[LstmState]) -> Tensor:
+    """One tape node for the whole recurrence over (B, T, *step_shape).
+
+    Returns the hidden and cell states of every step stacked as
+    (2, B, T, *state_shape).  The input transforms of all steps are one
+    GEMM against the per-gate weights stacked to (K*C, 4U); each step
+    adds one (K*U, 4U) GEMM of its state, and backward is hand-written
+    BPTT.  Dense mode is the width-1 convolution over a length-1 axis,
+    so both modes share the im2col code of ``conv1d``.
+    """
+    dense_mode = params.mode == "dense"
+    xd = x.data[:, :, None, :] if dense_mode else x.data
+    B, T, S, C = xd.shape
+    U = params.b["i"].data.shape[0]
+    width = 1 if dense_mode else params.w_x["i"].data.shape[0]
+    wx, wh, bias = (np.concatenate([table[g].data.reshape(-1, U) for g in _GATES], axis=1)
+                    for table in (params.w_x, params.w_h, params.b))
+    if wx.shape[0] != width * C:
+        raise ShapeError(f"step input {xd.shape[2:]} does not fit weights {params.w_x['i'].shape}")
+    peep = [params.w_c[g].data for g in ("i", "f", "o")] if params.peephole else None
+
+    # time-major: step t reads states[:, t] and writes states[:, t + 1]
+    xt = np.ascontiguousarray(xd.transpose(1, 0, 2, 3)).reshape(T * B, S, C)
+    xcols = _im2col(xt, width).reshape(T * B * S, width * C)
+    z = (xcols @ wx + bias).reshape(T, B, S, 4 * U)
+    acts = np.empty_like(z)
+    states = np.zeros((2, T + 1, B, S, U), dtype=z.dtype)
+    if state is not None:
+        states[:, 0] = [given.data.reshape(B, S, U) for given in (state.hidden, state.cell)]
+    for t in range(T):
+        c = states[1, t]
+        z[t] += (_im2col(states[0, t], width).reshape(B * S, -1) @ wh).reshape(B, S, 4 * U)
+        zi, zf, zg, zo = np.split(z[t], 4, axis=-1)
+        i, f, g, o = np.split(acts[t], 4, axis=-1)
+        if peep is not None:
+            zi += peep[0] * c
+            zf += peep[1] * c
+        i[...], f[...], g[...] = _sigmoid(zi), _sigmoid(zf), np.tanh(zg)
+        c = states[1, t + 1] = f * c + i * g
+        if peep is not None:
+            zo += peep[2] * c
+        o[...] = _sigmoid(zo)
+        states[0, t + 1] = o * np.tanh(c)
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("operation produced non-finite values")
+    out = states[:, 1:].transpose(0, 2, 1, 3, 4)
+
+    def backward(grad):
+        grad = grad.reshape(2, B, T, S, U)
+        dz = np.empty_like(acts)
+        dh = np.zeros((B, S, U), dtype=acts.dtype)
+        dc = np.zeros_like(dh)
+        for t in reversed(range(T)):
+            i, f, g, o = np.split(acts[t], 4, axis=-1)
+            dzi, dzf, dzg, dzo = np.split(dz[t], 4, axis=-1)
+            tanh_c = np.tanh(states[1, t + 1])
+            dh = dh + grad[0, :, t]
+            dzo[...] = dh * tanh_c * o * (1.0 - o)
+            dc = dc + grad[1, :, t] + dh * o * (1.0 - tanh_c * tanh_c)
+            if peep is not None:
+                dc += dzo * peep[2]
+            dzi[...] = dc * g * i * (1.0 - i)
+            dzf[...] = dc * states[1, t] * f * (1.0 - f)
+            dzg[...] = dc * i * (1.0 - g * g)
+            dc = dc * f
+            if peep is not None:
+                dc += dzi * peep[0] + dzf * peep[1]
+            dh = _col2im((dz[t].reshape(B * S, 4 * U) @ wh.T).reshape(B, S, -1), width)
+        dz_flat = dz.reshape(T * B * S, 4 * U)
+        hcols = _im2col(states[0, :T].reshape(T * B, S, U), width).reshape(T * B * S, -1)
+        blocks = (xcols.T @ dz_flat, hcols.T @ dz_flat, dz_flat.sum(axis=0))
+        for table, block in zip((params.w_x, params.w_h, params.b), blocks):
+            for gate, piece in zip(_GATES, np.split(block, 4, axis=-1)):
+                table[gate]._accumulate(piece.reshape(table[gate].data.shape))
+        if peep is not None:
+            dzi, dzf, _, dzo = np.split(dz, 4, axis=-1)
+            cells = (states[1, :T], states[1, :T], states[1, 1:])
+            for gate, d, cell in zip(("i", "f", "o"), (dzi, dzf, dzo), cells):
+                params.w_c[gate]._accumulate((d * cell).sum(axis=0))
+        if state is not None:
+            state.hidden._accumulate(dh.reshape(state.hidden.data.shape))
+            state.cell._accumulate(dc.reshape(state.cell.data.shape))
+        if x.requires_grad:
+            dx = _col2im((dz_flat @ wx.T).reshape(T * B, S, -1), width).reshape(T, B, S, C)
+            x._accumulate(dx.transpose(1, 0, 2, 3).reshape(x.data.shape))
+
+    parents = [x, *params.tensors().values()]
+    if state is not None:
+        parents += [state.hidden, state.cell]
+    return Tensor._op(out[..., 0, :] if dense_mode else out, tuple(parents), backward)

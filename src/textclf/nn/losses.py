@@ -1,4 +1,5 @@
-"""Cross-entropy losses over predicted probability distributions."""
+"""Cross-entropy losses: over predicted probability distributions, and
+fused with the softmax over raw class scores."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import numpy as np
 
 from .tensor import ShapeError, Tensor
 
-__all__ = ["cross_entropy_loss", "one_hot"]
+__all__ = ["cross_entropy_loss", "softmax_cross_entropy", "one_hot"]
 
 _CLAMP = 1e-12
 
@@ -60,3 +61,33 @@ def cross_entropy_loss(pred: Tensor, target: np.ndarray, kind: str = "categorica
         return Tensor._op(np.asarray(value, dtype=pred.data.dtype), (pred,), backward)
 
     raise ValueError(f"kind must be 'categorical' or 'binary', got {kind!r}")
+
+
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean cross-entropy of integer class labels under softmax(logits).
+
+    logits: (B, C) or (C,) raw scores; labels: (B,) class indices (or one
+    index).  The loss is computed from the log-softmax, so a confidently
+    wrong row keeps the gradient (softmax(logits) - one_hot(labels)) / B
+    where clamped probabilities would give zero.  With two classes it is
+    also the binary cross-entropy of the positive-class probability.
+    """
+    z = logits.data
+    rows = z.reshape(-1, z.shape[-1])
+    batch, n_classes = rows.shape
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if labels.shape != (batch,):
+        raise ShapeError(f"{labels.size} labels for {batch} rows of scores")
+    if batch and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ValueError(f"labels must lie in [0, {n_classes})")
+    picked = (np.arange(batch), labels)
+    shifted = rows - rows.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    value = -log_probs[picked].sum() / batch
+
+    def backward(g):
+        dz = np.exp(log_probs)
+        dz[picked] -= 1.0
+        logits._accumulate((dz * (g / batch)).reshape(z.shape))
+
+    return Tensor._op(np.asarray(value, dtype=z.dtype), (logits,), backward)

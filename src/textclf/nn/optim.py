@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError
 
 __all__ = ["AdagradState", "adagrad_update", "Adagrad"]
 
@@ -52,7 +52,3 @@ class Adagrad:
         for tensor in self.params.values():
             tensor.grad = None
 
-
-def require_same_shape(a: Tensor, b: Tensor):
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"shapes differ: {a.data.shape} vs {b.data.shape}")

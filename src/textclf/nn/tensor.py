@@ -3,15 +3,35 @@
 A Tensor wraps a float32/float64 ndarray plus an optional gradient of the
 same shape.  Operations build a tape of parent links and backward
 closures; calling ``backward()`` on a scalar result accumulates gradients
-in deterministic topological order.  Any non-finite value produced by an
-operation raises immediately.
+in deterministic topological order.  Inside ``no_grad()`` operations
+record no tape.  Any non-finite value produced by an operation raises
+immediately.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+
 import numpy as np
 
-__all__ = ["Tensor", "ShapeError", "concat", "matmul"]
+__all__ = ["Tensor", "ShapeError", "concat", "matmul", "stack", "no_grad"]
+
+_grad_enabled = contextvars.ContextVar("textclf_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run operations without recording parents or backward closures.
+
+    Results inside the block never require gradients, so intermediate
+    buffers are freed as soon as the forward pass drops them.
+    """
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 class ShapeError(ValueError):
@@ -62,14 +82,15 @@ class Tensor:
 
     @classmethod
     def _op(cls, data, parents, backward):
-        """Create a graph node; drops the tape when no parent needs grads."""
+        """Create a graph node; drops the tape when no parent needs grads
+        or inside ``no_grad()``."""
         out = cls.__new__(cls)
         arr = np.asarray(data)
         if not np.all(np.isfinite(arr)):
             raise FloatingPointError("operation produced non-finite values")
         out.data = arr
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled.get() and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward = backward
@@ -276,3 +297,16 @@ def concat(tensors, axis=-1) -> Tensor:
     return Tensor._op(
         np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward
     )
+
+
+def stack(tensors, axis=0) -> Tensor:
+    """Stack equally shaped tensors along a new axis; gradients split back out."""
+    tensors = list(tensors)
+    if not tensors:
+        raise ValueError("stack needs at least one tensor")
+
+    def backward(g):
+        for t, piece in zip(tensors, np.moveaxis(g, axis, 0)):
+            t._accumulate(piece)
+
+    return Tensor._op(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), backward)

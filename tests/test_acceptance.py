@@ -55,6 +55,7 @@ def test_criterion_1_gradient_suite():
     layers.test_maxpool_and_global()
     layers.test_dense()
     layers.test_softmax_cross_entropy()
+    layers.test_fused_softmax_cross_entropy()
     layers.test_binary_cross_entropy()
     layers.test_relu_composite()
     layers.test_dropout_fixed_mask()

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from textclf.cli import run_command, write_report
@@ -142,6 +143,33 @@ class TestTrainPredictEval:
         ])
         assert rc == 0
         assert (outdir / "model" / "weights.bin").exists()
+
+    def test_predict_streams_in_chunks(self, corpus_file, tmp_path, capsys, monkeypatch):
+        from textclf.cli import PREDICT_CHUNK
+        from textclf.model import load_classifier
+
+        outdir = tmp_path / "run"
+        assert run_command([
+            "train", "--input", str(corpus_file), "--output-dir", str(outdir),
+            "--model", "convlstm", "--task", "hate_speech", "--epochs", "1",
+            "--seq-len", "10", "--emb-dim", "8", "--filters", "2",
+            "--lstm-units", "3", "--seed", "0",
+        ]) == 0
+        rows = [line.split("\t")[1] for line in corpus_file.read_text(encoding="utf-8").splitlines()]
+        lines = [rows[i % len(rows)] + "\n" for i in range(PREDICT_CHUNK + 45)]
+        outputs = []
+        for _ in range(2):
+            monkeypatch.setattr("sys.stdin", _FakeStdin(lines))
+            assert run_command(["predict", "--model-dir", str(outdir / "model")]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        model = load_classifier(outdir / "model")
+        probs = model.predict_proba([tuple(line.split()) for line in lines])
+        printed = [line.split("\t") for line in outputs[0].splitlines()]
+        assert len(printed) == len(lines)
+        assert [label for label, _ in printed] == model.predict([tuple(l.split()) for l in lines])
+        values = np.array([[float(v) for v in row.split(",")] for _, row in printed])
+        np.testing.assert_allclose(values, probs, rtol=0, atol=1e-6)
 
     def test_train_with_cv_writes_report(self, corpus_file, tmp_path):
         outdir = tmp_path / "cv"

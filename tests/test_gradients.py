@@ -82,6 +82,15 @@ class TestLayerGradients:
             )
             assert err < 1e-6, f"seed {seed}: {err}"
 
+    def test_fused_softmax_cross_entropy(self):
+        for seed in range(N_INSTANCES):
+            rng = np.random.default_rng(450 + seed)
+            B, C = int(rng.integers(1, 5)), int(rng.integers(2, 6))
+            x = t64(rng, (B, C), scale=3.0)
+            labels = rng.integers(0, C, size=B)
+            err = nn.finite_difference_check(lambda x: nn.softmax_cross_entropy(x, labels), [x])
+            assert err < 1e-6, f"seed {seed}: {err}"
+
     def test_binary_cross_entropy(self):
         for seed in range(N_INSTANCES):
             rng = np.random.default_rng(400 + seed)

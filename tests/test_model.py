@@ -53,6 +53,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ConvLstmConfig(loss_kind="binary", n_classes=3)
 
+    def test_conv_lstm_mode_rejected(self):
+        # the network feeds (B, D) step rows, which conv mode would read as
+        # one (L, C) sequence, so a document's output would depend on its batch
+        with pytest.raises(ConfigurationError, match="lstm_mode"):
+            ConvLstmConfig(lstm_mode="conv")
+        with pytest.raises(ConfigurationError):
+            ConvLstmClassifier(lstm_mode="conv", epochs=0).fit([("a",), ("b",)], ["x", "y"])
+
 
 class TestNetworkShapes:
     def test_channel_and_concat_shapes(self):
@@ -164,13 +172,82 @@ class TestTrainNetwork:
         history = train_network(net, (ids, labels), epochs=2, batch_size=8, seed=0)
         assert len(history.train_loss) == 2
 
-    def test_threaded_reduction_deterministic(self):
-        ids, labels = self._data(32)
-        h1 = train_network(self._tiny(seed=2), (ids, labels), epochs=2,
-                           batch_size=16, seed=4, threads=2)
-        h2 = train_network(self._tiny(seed=2), (ids, labels), epochs=2,
-                           batch_size=16, seed=4, threads=2)
-        assert h1.train_loss == h2.train_loss
+    def test_saturated_wrong_prediction_still_learns(self):
+        # scores [0, 200, 0] against class 0: a loss on clamped probabilities
+        # reads 27.6 with a zero gradient, so no parameter would move
+        net = self._tiny(n_classes=3)
+        net.head_b.data[:] = [0.0, 200.0, 0.0]
+        ids, _ = self._data(8)
+        before = {k: v.data.copy() for k, v in net.parameters().items()}
+        history = train_network(net, (ids, np.zeros(8, dtype=np.int64)), epochs=1,
+                                batch_size=8, seed=0)
+        assert history.train_loss[0] > 150.0
+        assert net.head_b.data[1] < 200.0
+        assert not np.array_equal(net.head_w.data, before["head_w"])
+
+
+def _step_chain_scores(net, ids):
+    """Eval-mode class scores with the recurrent branch as a chain of
+    lstm_step calls and, for temporal_max, a running elementwise maximum."""
+    emb = nn.embedding_lookup(net.embedding, ids)
+    branches = [nn.global_maxpool(nn.maxpool1d(nn.relu(nn.conv1d(emb, kernels, bias)),
+                                               net.cfg.pool))
+                for _, kernels, bias in net.channels]
+    zeros = np.zeros((ids.shape[0], net.cfg.lstm_units))
+    state = nn.LstmState(nn.Tensor(zeros), nn.Tensor(zeros))
+    running = None
+    for t in range(net.cfg.seq_len):
+        state, _ = nn.lstm_step(emb[:, t, :], state, net.lstm)
+        if net.cfg.lstm_branch == "final" or running is None:
+            running = state.hidden
+        else:
+            running = running.maximum(state.hidden)
+    branches.append(running)
+    return nn.dense(nn.concat(branches, axis=-1), net.head_w, net.head_b)
+
+
+class TestFusedRecurrentBranch:
+    @pytest.mark.parametrize("branch", ["final", "temporal_max"])
+    @pytest.mark.parametrize("peephole", [False, True])
+    def test_matches_step_chain(self, branch, peephole):
+        cfg = ConvLstmConfig(seq_len=7, emb_dim=5, kernel_sizes=(2, 3),
+                             filters_per_channel=3, pool=2, lstm_units=4,
+                             dropout_rate=0.0, noise_sigma=0.0, n_classes=3,
+                             lstm_branch=branch, peephole=peephole)
+        net = ConvLstmNetwork(cfg, vocab_size=9, seed=2)
+        rng = np.random.default_rng(8)
+        for tensor in net.parameters().values():
+            tensor.data = tensor.data.astype(np.float64)
+        for tensor in (net.lstm.w_c or {}).values():
+            tensor.data[...] = rng.normal(scale=0.5, size=tensor.shape)
+        ids = rng.integers(1, 10, size=(3, 7))
+        labels = np.array([0, 2, 1])
+        results = []
+        for scores_of in (lambda: net.forward(ids, logits=True),
+                          lambda: _step_chain_scores(net, ids)):
+            scores = scores_of()
+            for tensor in net.parameters().values():
+                tensor.zero_grad()
+            nn.softmax_cross_entropy(scores, labels).backward()
+            results.append((scores.data, {k: t.grad for k, t in net.parameters().items()}))
+        (fused, fused_grads), (chain, chain_grads) = results
+        np.testing.assert_allclose(fused, chain, rtol=0, atol=1e-10)
+        for name, grad in chain_grads.items():
+            np.testing.assert_allclose(fused_grads[name], grad, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_inference_records_no_tape(self):
+        cfg = ConvLstmConfig(seq_len=8, emb_dim=6, kernel_sizes=(3, 4),
+                             filters_per_channel=4, pool=2, lstm_units=5, n_classes=3)
+        net = ConvLstmNetwork(cfg, vocab_size=11, seed=3)
+        ids = np.random.default_rng(4).integers(0, 12, size=(4, 8))
+        taped = net.forward(ids)
+        assert taped.requires_grad and taped._parents
+        with nn.no_grad():
+            untaped = net.forward(ids)
+        assert not untaped.requires_grad
+        assert untaped._parents == () and untaped._backward is None
+        np.testing.assert_array_equal(untaped.data, taped.data)
+        np.testing.assert_array_equal(predict_proba(net, ids), taped.data)
 
 
 class TestConvLstmClassifier:

@@ -169,6 +169,109 @@ class TestLstm:
         assert final.hidden.data.shape == (3,)
 
 
+def _step_chain(xs, params, state):
+    """Reference for lstm_forward: one lstm_step tape per timestep."""
+    hidden = []
+    for x in xs:
+        state, _ = nn.lstm_step(x, state, params)
+        hidden.append(state.hidden)
+    return hidden, state
+
+
+class TestFusedLstm:
+    """The fused sequence op against a chain of lstm_step calls, float64."""
+
+    @pytest.mark.parametrize("mode", ["dense", "conv"])
+    @pytest.mark.parametrize("peephole", [False, True])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("given_state", [False, True])
+    def test_matches_step_chain(self, mode, peephole, batched, given_state):
+        rng = np.random.default_rng(31)
+        D, U, L, T, B = 3, 4, 5, 6, 2
+        params = nn.init_lstm_params(D, U, mode=mode, kernel_width=3, seq_len=L,
+                                     peephole=peephole, rng=rng, dtype=np.float64)
+        for gate in (params.w_c or {}):
+            params.w_c[gate].data[...] = rng.normal(scale=0.5, size=params.w_c[gate].shape)
+        step = ((B,) if batched else ()) + ((D,) if mode == "dense" else (L, D))
+        state_shape = step[:-1] + (U,)
+        xs = [rng.normal(size=step) for _ in range(T)]
+        h0, c0 = (rng.normal(size=state_shape) if given_state else np.zeros(state_shape)
+                  for _ in range(2))
+        readout = rng.normal(size=(T + 1,) + state_shape)
+
+        def run(forward):
+            x_tensors = [Tensor(x, requires_grad=True) for x in xs]
+            state = nn.LstmState(Tensor(h0, requires_grad=True), Tensor(c0, requires_grad=True))
+            hidden, final = forward(x_tensors, params, state if given_state else None)
+            loss = (final.cell * Tensor(readout[T])).sum()
+            for t, h in enumerate(hidden):
+                loss = loss + (h * Tensor(readout[t])).sum()
+            for tensor in params.tensors().values():
+                tensor.zero_grad()
+            loss.backward()
+            grads = {n: t.grad for n, t in params.tensors().items()}
+            grads.update({f"x{t}": x.grad for t, x in enumerate(x_tensors)})
+            if given_state:
+                grads.update(h0=state.hidden.grad, c0=state.cell.grad)
+            return [h.data for h in hidden], final, grads
+
+        def chain(x_tensors, params, state):
+            if state is None:
+                state = nn.LstmState(Tensor(np.zeros(state_shape)), Tensor(np.zeros(state_shape)))
+            return _step_chain(x_tensors, params, state)
+
+        fused_h, fused_final, fused_grads = run(nn.lstm_forward)
+        ref_h, ref_final, ref_grads = run(chain)
+        assert len(fused_h) == T
+        for a, b in zip(fused_h, ref_h):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fused_final.hidden.data, ref_final.hidden.data, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fused_final.cell.data, ref_final.cell.data, rtol=0, atol=1e-10)
+        assert fused_grads.keys() == ref_grads.keys()
+        for name, grad in ref_grads.items():
+            np.testing.assert_allclose(fused_grads[name], grad, rtol=0, atol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("mode", ["dense", "conv"])
+    def test_sequence_tensor_form_matches_list_form(self, mode):
+        rng = np.random.default_rng(32)
+        params = nn.init_lstm_params(3, 4, mode=mode, kernel_width=3, seq_len=5,
+                                     rng=rng, dtype=np.float64)
+        step = (2, 3) if mode == "dense" else (2, 5, 3)
+        xs = [rng.normal(size=step) for _ in range(6)]
+        listed, final = nn.lstm_forward([Tensor(x) for x in xs], params)
+        whole, whole_final = nn.lstm_forward(Tensor(np.stack(xs, axis=1)), params)
+        assert whole.shape == (2, 6) + step[1:-1] + (4,)
+        np.testing.assert_array_equal(whole.data, np.stack([h.data for h in listed], axis=1))
+        np.testing.assert_array_equal(whole_final.cell.data, final.cell.data)
+
+    def test_nonfinite_projection_raises(self):
+        params = nn.init_lstm_params(2, 3, rng=np.random.default_rng(0))
+        params.w_x["i"].data[...] = 3e38
+        with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
+            nn.lstm_forward(Tensor(np.full((1, 2, 2), 10.0, dtype=np.float32)), params)
+
+    def test_wrong_sequence_rank_rejected(self):
+        params = nn.init_lstm_params(2, 3, rng=np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            nn.lstm_forward(Tensor(np.zeros((4, 2))), params)
+
+
+class TestNoGrad:
+    def test_no_tape_inside(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with nn.no_grad():
+            out = (Tensor(np.ones((3, 2))) @ w).sum()
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert (Tensor(np.ones((3, 2))) @ w).sum().requires_grad
+
+    def test_restored_after_error(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with nn.no_grad():
+                raise RuntimeError("boom")
+        assert (w * 2.0).requires_grad
+
+
 class TestDropoutNoise:
     def test_eval_mode_identity(self):
         x = Tensor(np.ones((4, 4)))
@@ -234,6 +337,31 @@ class TestDenseSoftmaxLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             nn.cross_entropy_loss(Tensor(np.ones((2, 3)) / 3), np.ones((3, 2)))
+
+    def test_fused_loss_saturated_wrong_row_keeps_gradient(self):
+        logits = Tensor(np.array([[0.0, 200.0, 0.0]]), requires_grad=True)
+        loss = nn.softmax_cross_entropy(logits, np.array([0]))
+        loss.backward()
+        assert abs(float(loss.data) - 200.0) < 1e-9
+        np.testing.assert_allclose(logits.grad, [[-1.0, 1.0, 0.0]], atol=1e-12)
+
+    def test_fused_loss_equals_composed_loss(self):
+        rng = np.random.default_rng(3)
+        scores = rng.normal(size=(5, 4))
+        labels = rng.integers(0, 4, size=5)
+        fused = nn.softmax_cross_entropy(Tensor(scores), labels)
+        composed = nn.cross_entropy_loss(nn.softmax(Tensor(scores)), nn.one_hot(labels, 4, np.float64))
+        assert abs(float(fused.data) - float(composed.data)) < 1e-12
+        binary = nn.cross_entropy_loss(nn.softmax(Tensor(scores[:, :2]))[:, 1],
+                                       (labels % 2).astype(float), kind="binary")
+        assert abs(float(nn.softmax_cross_entropy(Tensor(scores[:, :2]), labels % 2).data)
+                   - float(binary.data)) < 1e-12
+
+    def test_fused_loss_label_checks(self):
+        with pytest.raises(ShapeError):
+            nn.softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0]))
+        with pytest.raises(ValueError, match="labels"):
+            nn.softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
 
 class TestAdagrad:
