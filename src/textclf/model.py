@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -421,59 +421,22 @@ class ConvLstmClassifier(ParamsMixin):
         return [self.classes_[i] for i in np.argmax(probs, axis=1)]
 
     def save(self, directory) -> None:
-        directory = Path(directory)
-        nn.save_checkpoint(directory, self.network_.all_arrays(), meta={
-            "seed": self.seed, "peephole": self.peephole,
-        })
-        tokens = self.vocab_.tokens
-        vocab_hash = hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
-        sidecar = {
-            "model_type": "convlstm",
-            "config": asdict(self.config_),
-            "classes": self.classes_,
-            "vocabulary": tokens,
-            "vocabulary_sha256": vocab_hash,
-            "embedding_provenance": (
-                {"kind": self.embeddings.kind, "dim": self.embeddings.dim}
-                if isinstance(self.embeddings, EmbeddingModel) else None
-            ),
-            "train": {
-                "epochs": self.epochs, "batch_size": self.batch_size,
-                "learning_rate": self.learning_rate, "seed": self.seed,
-            },
-        }
-        (directory / "model.json").write_text(
-            json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _save(directory, "convlstm", self, self.vocab_.tokens, self.network_.all_arrays(),
+              embedding_provenance=(
+                  {"kind": self.embeddings.kind, "dim": self.embeddings.dim}
+                  if isinstance(self.embeddings, EmbeddingModel) else None))
 
-    @classmethod
-    def load(cls, directory) -> "ConvLstmClassifier":
-        directory = Path(directory)
-        sidecar = json.loads((directory / "model.json").read_text(encoding="utf-8"))
-        arrays, _ = nn.load_checkpoint(directory)
-        cfg_dict = sidecar["config"]
-        cfg_dict["kernel_sizes"] = tuple(cfg_dict["kernel_sizes"])
-        cfg = ConvLstmConfig(**cfg_dict)
-        tokens = sidecar["vocabulary"]
-        vocab = Vocabulary(tokens, {t: len(tokens) - i for i, t in enumerate(tokens)},
-                           {t: 1 for t in tokens})
-        est = cls(**{**{k: v for k, v in cfg_dict.items() if k != "n_classes"},
-                     "n_classes": cfg.n_classes,
-                     "seed": sidecar["train"]["seed"],
-                     "epochs": sidecar["train"]["epochs"],
-                     "batch_size": sidecar["train"]["batch_size"],
-                     "learning_rate": sidecar["train"]["learning_rate"]})
-        est.classes_ = sidecar["classes"]
-        est.vocab_ = vocab
-        est.config_ = cfg
+    def _restore(self, tokens, arrays) -> None:
+        self.vocab_ = _vocabulary(tokens)
+        self.config_ = self._make_config(self.n_classes or len(self.classes_))
         # checkpointed weights replace any init, so build the graph randomly
         # even if the original run started from pretrained vectors
-        build_cfg = ConvLstmConfig(**{**cfg_dict, "embedding_init": "random"})
-        net = ConvLstmNetwork(build_cfg, len(vocab), seed=sidecar["train"]["seed"])
-        for name, tensor in net.tensors().items():
+        self.network_ = ConvLstmNetwork(replace(self.config_, embedding_init="random"),
+                                        len(tokens), seed=self.seed)
+        for name, tensor in self.network_.tensors().items():
+            if arrays[name].shape != tensor.data.shape:
+                raise ValueError(f"layer {name!r}: shape {arrays[name].shape} != {tensor.data.shape}")
             tensor.data[...] = arrays[name]
-        est.network_ = net
-        return est
 
 
 def _tokens_of(doc):
@@ -644,8 +607,8 @@ class _CosineKnn(ParamsMixin):
         norms = np.sqrt(X.multiply(X).sum(axis=1)).A.ravel()
         norms[norms == 0.0] = 1.0
         self.train_ = sp.diags(1.0 / norms) @ X
-        self.labels_ = np.asarray(y)
-        self.classes_ = sorted(set(self.labels_.tolist()))
+        classes, self.label_ids_ = np.unique(np.asarray(y), return_inverse=True)
+        self.classes_ = classes.tolist()
         return self
 
     def predict_proba(self, X):
@@ -660,7 +623,7 @@ class _CosineKnn(ParamsMixin):
             # stable sort keeps the earliest instance on ties
             order = np.argsort(-sims[r], kind="stable")[:k]
             for idx in order:
-                out[r, self.classes_.index(self.labels_[idx])] += 1.0
+                out[r, self.label_ids_[idx]] += 1.0
         return out / k
 
 
@@ -669,6 +632,11 @@ _BASELINES = {
     "multinomial_nb": _MultinomialNaiveBayes,
     "knn": _CosineKnn,
 }
+# fitted arrays a saved model stores under their attribute names; the kNN
+# instance matrix is stored apart, as its CSR data, indices and indptr
+_FITTED = {"logreg": ("weights_", "bias_"),
+           "multinomial_nb": ("log_prior_", "log_likelihood_"),
+           "knn": ("label_ids_",)}
 
 
 @dataclass
@@ -710,17 +678,13 @@ class TfidfClassifier(ParamsMixin):
     def fit(self, docs, labels, valid=None):
         self.featurizer_ = TfidfFeaturizer(self.char_ngram_range, self.word_unigrams)
         X = self.featurizer_.fit_transform(list(docs))
-        kwargs = {}
-        if self.kind == "knn":
-            kwargs = {"k": self.k}
-        elif self.kind == "multinomial_nb":
-            kwargs = {"alpha": self.alpha}
-        elif self.kind == "logreg":
-            kwargs = {"l2": self.l2, "learning_rate": self.learning_rate,
-                      "epochs": self.epochs, "seed": self.seed}
-        self.baseline_ = train_baseline(X, list(labels), self.kind, **kwargs)
+        self.baseline_ = train_baseline(X, list(labels), self.kind, **self._baseline_params())
         self.classes_ = self.baseline_.classes_
         return self
+
+    def _baseline_params(self) -> dict:
+        model_cls = _BASELINES.get(self.kind)
+        return {name: getattr(self, name) for name in model_cls._param_names()} if model_cls else {}
 
     def predict_proba(self, docs):
         return self.baseline_.predict_proba(self.featurizer_.transform(list(docs)))
@@ -730,77 +694,28 @@ class TfidfClassifier(ParamsMixin):
         return [self.classes_[i] for i in np.argmax(probs, axis=1)]
 
     def save(self, directory) -> None:
-        directory = Path(directory)
         model = self.baseline_.model
-        arrays = {"idf": self.featurizer_.idf_.astype(np.float32)}
-        if self.kind == "logreg":
-            arrays["weights"] = model.weights_.astype(np.float32)
-            arrays["bias"] = model.bias_.astype(np.float32)
-        elif self.kind == "multinomial_nb":
-            arrays["log_prior"] = model.log_prior_.astype(np.float32)
-            arrays["log_likelihood"] = model.log_likelihood_.astype(np.float32)
-        else:
-            arrays["train_matrix"] = model.train_.toarray().astype(np.float32)
-        nn.save_checkpoint(directory, arrays, meta={"seed": self.seed})
-        sidecar = {
-            "model_type": "tfidf",
-            "params": {k: list(v) if isinstance(v, tuple) else v
-                       for k, v in self.get_params().items()},
-            "classes": list(self.classes_),
-            "feature_names": self.featurizer_.feature_names_,
-        }
+        arrays = {"idf": self.featurizer_.idf_}
+        arrays.update((name, getattr(model, name)) for name in _FITTED[self.kind])
         if self.kind == "knn":
-            sidecar["train_labels"] = [str(l) for l in self.baseline_.model.labels_]
-        (directory / "model.json").write_text(
-            json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+            arrays.update(data=model.train_.data, indices=model.train_.indices,
+                          indptr=model.train_.indptr)
+        _save(directory, "tfidf", self, self.featurizer_.feature_names_, arrays)
 
-    @classmethod
-    def load(cls, directory) -> "TfidfClassifier":
-        directory = Path(directory)
-        sidecar = json.loads((directory / "model.json").read_text(encoding="utf-8"))
-        arrays, _ = nn.load_checkpoint(directory)
-        params = dict(sidecar["params"])
-        params["char_ngram_range"] = tuple(params["char_ngram_range"])
-        est = cls(**params)
-        est.featurizer_ = TfidfFeaturizer(est.char_ngram_range, est.word_unigrams)
-        est.featurizer_.feature_names_ = sidecar["feature_names"]
-        est.featurizer_.feature_index_ = {
-            f: i for i, f in enumerate(sidecar["feature_names"])
-        }
-        est.featurizer_.idf_ = arrays["idf"].astype(np.float64)
-        est.classes_ = sidecar["classes"]
-        if est.kind == "logreg":
-            model = _LogisticRegressionGD(l2=est.l2, learning_rate=est.learning_rate,
-                                          epochs=est.epochs, seed=est.seed)
-            model.classes_ = est.classes_
-            model.weights_ = arrays["weights"].astype(np.float64)
-            model.bias_ = arrays["bias"].astype(np.float64)
-        elif est.kind == "multinomial_nb":
-            model = _MultinomialNaiveBayes(alpha=est.alpha)
-            model.classes_ = est.classes_
-            model.log_prior_ = arrays["log_prior"].astype(np.float64)
-            model.log_likelihood_ = arrays["log_likelihood"].astype(np.float64)
-        else:
-            model = _CosineKnn(k=est.k)
-            model.classes_ = est.classes_
-            model.train_ = sp.csr_matrix(arrays["train_matrix"].astype(np.float64))
-            model.labels_ = np.array(sidecar["train_labels"])
-        est.baseline_ = BaselineModel(kind=est.kind, model=model)
-        return est
-
-
-def load_classifier(directory):
-    """Dispatch on the sidecar's model_type to rebuild a saved classifier."""
-    sidecar = json.loads((Path(directory) / "model.json").read_text(encoding="utf-8"))
-    model_type = sidecar.get("model_type")
-    if model_type == "convlstm":
-        return ConvLstmClassifier.load(directory)
-    if model_type == "fasttext":
-        return FastTextClassifier.load(directory)
-    if model_type == "tfidf":
-        return TfidfClassifier.load(directory)
-    raise ValueError(f"unknown model_type {model_type!r} in {directory}")
+    def _restore(self, tokens, arrays) -> None:
+        self.featurizer_ = TfidfFeaturizer(self.char_ngram_range, self.word_unigrams)
+        self.featurizer_.feature_names_ = tokens
+        self.featurizer_.feature_index_ = {f: i for i, f in enumerate(tokens)}
+        self.featurizer_.idf_ = arrays["idf"]
+        model = _BASELINES[self.kind](**self._baseline_params())
+        model.classes_ = self.classes_
+        if self.kind == "knn":
+            indptr = arrays["indptr"]
+            model.train_ = sp.csr_matrix((arrays["data"], arrays["indices"], indptr),
+                                         shape=(len(indptr) - 1, len(tokens)))
+        for name in _FITTED[self.kind]:
+            setattr(model, name, arrays[name])
+        self.baseline_ = BaselineModel(kind=self.kind, model=model)
 
 
 # -- averaged bag-of-features linear classifier ---------------------------
@@ -860,13 +775,14 @@ class FastTextClassifier(ParamsMixin):
             ids = [0]
         return np.array(ids, dtype=np.int64)
 
-    def fit(self, docs, labels, valid=None):
+    def fit(self, docs, labels, valid=None, vocab: Optional[Vocabulary] = None):
+        """Fit on ``docs``; ``vocab`` replaces the vocabulary built from them."""
         docs = list(docs)
         labels = list(labels)
         if not docs:
             raise ValueError("training set is empty")
         self.classes_ = sorted(set(labels))
-        self.vocab_ = getattr(self, "vocab_override_", None) or build_vocabulary(
+        self.vocab_ = vocab if vocab is not None else build_vocabulary(
             [_as_doc(d) for d in docs], min_df=self.min_df
         )
         rng = check_random_state(self.seed)
@@ -917,33 +833,12 @@ class FastTextClassifier(ParamsMixin):
         return [self.classes_[i] for i in np.argmax(probs, axis=1)]
 
     def save(self, directory) -> None:
-        directory = Path(directory)
-        nn.save_checkpoint(directory, {
-            "lookup": self.lookup_, "projection": self.projection_,
-        }, meta={"seed": self.seed})
-        sidecar = {
-            "model_type": "fasttext",
-            "params": self.get_params(),
-            "classes": self.classes_,
-            "vocabulary": self.vocab_.tokens,
-        }
-        (directory / "model.json").write_text(
-            json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _save(directory, "fasttext", self, self.vocab_.tokens,
+              {"lookup": self.lookup_, "projection": self.projection_})
 
-    @classmethod
-    def load(cls, directory) -> "FastTextClassifier":
-        directory = Path(directory)
-        sidecar = json.loads((directory / "model.json").read_text(encoding="utf-8"))
-        arrays, _ = nn.load_checkpoint(directory)
-        est = cls(**sidecar["params"])
-        est.classes_ = sidecar["classes"]
-        tokens = sidecar["vocabulary"]
-        est.vocab_ = Vocabulary(tokens, {t: len(tokens) - i for i, t in enumerate(tokens)},
-                                {t: 1 for t in tokens})
-        est.lookup_ = arrays["lookup"].astype(np.float64)
-        est.projection_ = arrays["projection"].astype(np.float64)
-        return est
+    def _restore(self, tokens, arrays) -> None:
+        self.vocab_ = _vocabulary(tokens)
+        self.lookup_, self.projection_ = arrays["lookup"], arrays["projection"]
 
 
 def fasttext_linear_classifier(docs, vocab: Vocabulary, spec: TrainSpec,
@@ -959,8 +854,57 @@ def fasttext_linear_classifier(docs, vocab: Vocabulary, spec: TrainSpec,
         dim=spec.dim, epochs=spec.epochs, learning_rate=spec.learning_rate,
         nmin=spec.nmin, nmax=spec.nmax, bucket_count=spec.bucket_count, seed=spec.seed,
     )
-    clf.vocab_override_ = vocab
-    return clf.fit(docs, labels)
+    return clf.fit(docs, labels, vocab=vocab)
+
+
+# -- persistence ------------------------------------------------------------
+
+
+def _vocabulary_sha256(tokens) -> str:
+    return hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
+
+
+def _vocabulary(tokens) -> Vocabulary:
+    """A saved vocabulary; its frequencies only preserve the id order."""
+    return Vocabulary(tokens, {t: len(tokens) - i for i, t in enumerate(tokens)},
+                      {t: 1 for t in tokens})
+
+
+def _save(directory, model_type: str, est, tokens, arrays: dict, **extra) -> None:
+    """Write ``arrays`` through ``nn.save_checkpoint`` and one ``model.json``: model
+    type, constructor params, classes, vocabulary and its sha256, ``extra`` keys."""
+    nn.save_checkpoint(directory, arrays, meta={"seed": est.seed})
+    sidecar = {
+        "model_type": model_type,
+        "params": {k: v for k, v in est.get_params().items() if k != "embeddings"},
+        "classes": list(est.classes_),
+        "vocabulary": list(tokens),
+        "vocabulary_sha256": _vocabulary_sha256(tokens),
+        **extra,
+    }
+    (Path(directory) / "model.json").write_text(
+        json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+
+
+def load_classifier(directory):
+    """Rebuild a classifier written by its ``save``; raises ValueError when the
+    vocabulary does not match its hash or the weights do not match their manifest."""
+    sidecar = json.loads((Path(directory) / "model.json").read_text(encoding="utf-8"))
+    model_types = {"convlstm": ConvLstmClassifier, "fasttext": FastTextClassifier,
+                   "tfidf": TfidfClassifier}
+    if sidecar.get("model_type") not in model_types:
+        raise ValueError(f"unknown model_type {sidecar.get('model_type')!r} in {directory}")
+    arrays, _ = nn.load_checkpoint(directory)  # first, so it refuses older formats
+    tokens = sidecar["vocabulary"]
+    if _vocabulary_sha256(tokens) != sidecar["vocabulary_sha256"]:
+        raise ValueError(f"{directory}: vocabulary does not match vocabulary_sha256")
+    # JSON has no tuples, and every sequence-valued param is a tuple
+    params = {k: tuple(v) if isinstance(v, list) else v for k, v in sidecar["params"].items()}
+    est = model_types[sidecar["model_type"]]().set_params(**params)
+    est.classes_ = sidecar["classes"]
+    est._restore(tokens, arrays)
+    return est
 
 
 # -- ensembling -------------------------------------------------------------

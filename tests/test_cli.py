@@ -197,6 +197,19 @@ class TestTrainPredictEval:
         ])
         assert rc == 0
 
+    def test_predict_on_tampered_model_is_data_error(self, corpus_file, tmp_path,
+                                                     capsys, monkeypatch):
+        outdir = tmp_path / "run"
+        assert run_command(["train", "--input", str(corpus_file), "--output-dir",
+                            str(outdir), "--model", "logreg"]) == 0
+        weights = outdir / "model" / "weights.bin"
+        weights.write_bytes(weights.read_bytes() + bytes(8))
+        monkeypatch.setattr("sys.stdin", _FakeStdin(["a b c\n"]))
+        assert run_command(["predict", "--model-dir", str(outdir / "model")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "weights.bin holds" in captured.err
+
     def test_unlabeled_corpus_is_data_error(self, tmp_path):
         path = tmp_path / "plain.tsv"
         path.write_text("just tokens here\nmore tokens\n", encoding="utf-8")
@@ -284,6 +297,23 @@ class TestDeterminism:
         assert run_command(args(tmp_path / "r1")) == 0
         assert run_command(args(tmp_path / "r2")) == 0
         for name in ("report.json", "confusion.csv", "manifest.json"):
+            a = (tmp_path / "r1" / name).read_bytes()
+            b = (tmp_path / "r2" / name).read_bytes()
+            assert a == b, name
+
+    @pytest.mark.parametrize("model", ["convlstm", "fasttext", "logreg", "nb", "knn"])
+    def test_saved_model_byte_identical(self, corpus_file, tmp_path, model):
+        args = lambda d: [
+            "train", "--input", str(corpus_file), "--output-dir", str(d),
+            "--model", model, "--epochs", "1", "--seq-len", "10", "--emb-dim", "8",
+            "--filters", "2", "--lstm-units", "3", "--seed", "5",
+        ]
+        assert run_command(args(tmp_path / "r1")) == 0
+        assert run_command(args(tmp_path / "r2")) == 0
+        names = sorted(p.name for p in (tmp_path / "r1" / "model").iterdir())
+        assert names == ["manifest.json", "model.json", "weights.bin"]
+        assert sorted(p.name for p in (tmp_path / "r2" / "model").iterdir()) == names
+        for name in [f"model/{n}" for n in names] + ["manifest.json"]:
             a = (tmp_path / "r1" / name).read_bytes()
             b = (tmp_path / "r2" / name).read_bytes()
             assert a == b, name

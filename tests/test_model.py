@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,16 @@ from textclf import nn
 def docs_from(rows, labels=None):
     labels = labels or [None] * len(rows)
     return [TokenizedDocument(str(i), tuple(r), l) for i, (r, l) in enumerate(zip(rows, labels))]
+
+
+def assert_reordered_vocabulary_rejected(directory):
+    """A model.json whose vocabulary no longer matches its hash must not load."""
+    path = directory / "model.json"
+    sidecar = json.loads(path.read_text(encoding="utf-8"))
+    sidecar["vocabulary"] = sidecar["vocabulary"][::-1]
+    path.write_text(json.dumps(sidecar), encoding="utf-8")
+    with pytest.raises(ValueError, match="vocabulary_sha256"):
+        load_classifier(directory)
 
 
 @pytest.fixture(scope="module")
@@ -265,8 +277,9 @@ class TestConvLstmClassifier:
 
         clf.save(tmp_path / "m")
         loaded = load_classifier(tmp_path / "m")
-        np.testing.assert_allclose(loaded.predict_proba(docs[:5]), probs, atol=1e-6)
+        np.testing.assert_array_equal(loaded.predict_proba(docs[:5]), probs)
         assert loaded.classes_ == clf.classes_
+        assert_reordered_vocabulary_rejected(tmp_path / "m")
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
@@ -300,9 +313,7 @@ class TestConvLstmClassifier:
         clf.fit(docs, labels)
         clf.save(tmp_path / "pre")
         loaded = load_classifier(tmp_path / "pre")
-        np.testing.assert_allclose(
-            loaded.predict_proba(docs[:3]), clf.predict_proba(docs[:3]), atol=1e-6
-        )
+        np.testing.assert_array_equal(loaded.predict_proba(docs[:3]), clf.predict_proba(docs[:3]))
 
     def test_pretrained_dim_mismatch(self, small_corpus):
         docs, labels, _ = small_corpus
@@ -416,14 +427,18 @@ class TestBaselines:
 
     def test_tfidf_classifier_save_load(self, small_corpus, tmp_path):
         docs, labels, _ = small_corpus
-        for kind in ("logreg", "multinomial_nb", "knn"):
-            clf = TfidfClassifier(kind=kind, char_ngram_range=(2, 3))
-            clf.fit(docs, labels)
-            clf.save(tmp_path / kind)
-            loaded = load_classifier(tmp_path / kind)
-            np.testing.assert_allclose(
-                loaded.predict_proba(docs[:4]), clf.predict_proba(docs[:4]), atol=1e-6
-            )
+        # every kind, kNN included, must also reload when the labels are not strings
+        int_labels = [sorted(set(labels)).index(label) for label in labels]
+        for y in (labels, int_labels):
+            for kind in ("logreg", "multinomial_nb", "knn"):
+                clf = TfidfClassifier(kind=kind, char_ngram_range=(2, 3))
+                clf.fit(docs, y)
+                clf.save(tmp_path / kind)
+                loaded = load_classifier(tmp_path / kind)
+                np.testing.assert_array_equal(loaded.predict_proba(docs[:4]),
+                                              clf.predict_proba(docs[:4]))
+                assert loaded.predict(docs[:4]) == clf.predict(docs[:4])
+                assert_reordered_vocabulary_rejected(tmp_path / kind)
 
 
 class TestFastTextClassifier:
@@ -460,9 +475,8 @@ class TestFastTextClassifier:
         clf.fit(docs, labels)
         clf.save(tmp_path / "ft")
         loaded = load_classifier(tmp_path / "ft")
-        np.testing.assert_allclose(
-            loaded.predict_proba(docs[:4]), clf.predict_proba(docs[:4]), atol=1e-6
-        )
+        np.testing.assert_array_equal(loaded.predict_proba(docs[:4]), clf.predict_proba(docs[:4]))
+        assert_reordered_vocabulary_rejected(tmp_path / "ft")
 
 
 class TestEnsemble:

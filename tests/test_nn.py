@@ -408,11 +408,16 @@ class TestCheckpoint:
         arrays = {
             "layer1": rng.normal(size=(3, 4)).astype(np.float32),
             "layer2": rng.normal(size=(5,)).astype(np.float32),
+            "wide": rng.normal(size=(2, 3)),
+            "ids32": rng.integers(-2**31, 2**31 - 1, size=(7,), dtype=np.int32),
+            "ids64": rng.integers(-2**62, 2**62, size=(2, 2), dtype=np.int64),
+            "empty": np.zeros((0, 3)),
         }
         nn.save_checkpoint(tmp_path, arrays, meta={"seed": 7})
         loaded, meta = nn.load_checkpoint(tmp_path)
         assert meta["seed"] == 7
         for name in arrays:
+            assert loaded[name].dtype == arrays[name].dtype, name
             np.testing.assert_array_equal(loaded[name], arrays[name])
 
     def test_manifest_records_shapes(self, tmp_path):
@@ -421,4 +426,40 @@ class TestCheckpoint:
         nn.save_checkpoint(tmp_path, {"w": np.zeros((2, 3), dtype=np.float32)})
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["layers"][0]["shape"] == [2, 3]
-        assert manifest["format_version"] == 1
+        assert manifest["layers"][0]["dtype"] == "<f4"
+        assert manifest["format_version"] == 2
+
+    def test_unsupported_dtype_not_saved(self, tmp_path):
+        with pytest.raises(ValueError, match="dtype"):
+            nn.save_checkpoint(tmp_path, {"mask": np.ones(3, dtype=bool)})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("format_version", 1, "format version"),
+        ("dtype", "<f2", "dtype"),
+        ("offset", 4, "starts at byte"),
+        ("shape", [2, 5], "runs past"),
+        ("shape", [2, "3"], "shape"),
+    ])
+    def test_manifest_not_matching_weights_rejected(self, tmp_path, field, value, message):
+        import json
+
+        nn.save_checkpoint(tmp_path, {"a": np.arange(6.0).reshape(2, 3),
+                                      "b": np.arange(4, dtype=np.int32)})
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if field == "format_version":
+            manifest[field] = value
+        else:
+            manifest["layers"][-1 if field == "offset" else 0][field] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=message):
+            nn.load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("change,message", [(8, "holds 56 bytes"), (-8, "runs past")])
+    def test_weights_length_must_match_manifest(self, tmp_path, change, message):
+        nn.save_checkpoint(tmp_path, {"w": np.arange(6.0)})
+        blob = (tmp_path / "weights.bin").read_bytes()
+        (tmp_path / "weights.bin").write_bytes(blob + bytes(change) if change > 0
+                                               else blob[:change])
+        with pytest.raises(ValueError, match=message):
+            nn.load_checkpoint(tmp_path)
