@@ -5,6 +5,7 @@ statistics, and synthetic corpus generation for desk-scale experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -109,8 +110,7 @@ def encode_document(tokens: Sequence[str], vocab: Vocabulary, max_len: int) -> n
     """Map tokens to ids, drop unknowns, truncate to max_len, right-pad with 0."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    ids = [vocab.token_to_id[t] for t in tokens if t in vocab.token_to_id]
-    ids = ids[:max_len]
+    ids = list(islice((vocab.token_to_id[t] for t in tokens if t in vocab.token_to_id), max_len))
     out = np.zeros(max_len, dtype=np.int64)
     out[: len(ids)] = ids
     return out

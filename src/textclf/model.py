@@ -108,10 +108,14 @@ class ConvLstmNetwork:
     recurrent branch, concatenated into a softmax head.
 
     Per channel: same-padded convolution -> ReLU -> dropout -> max pooling
-    -> global max, one vector of ``filters_per_channel`` per kernel size.
-    The recurrent branch contributes its final hidden state (or the
-    temporal max of hidden states).  Row 0 of the embedding is the padding
-    vector and stays zero through training.
+    -> global max, one vector of ``filters_per_channel`` per kernel size;
+    the max pooling changes no value before a global max, so only the
+    shape trace computes it.  The recurrent branch contributes its final
+    hidden state (or the temporal max of hidden states).  Row 0 of the
+    embedding is the padding vector and stays zero through training.
+    ``forward`` is the taped graph that training differentiates;
+    ``infer`` is the eval-mode forward without a tape that prediction and
+    validation use.
     """
 
     def __init__(self, cfg: ConvLstmConfig, vocab_size: int, seed: int = 0,
@@ -189,10 +193,8 @@ class ConvLstmNetwork:
     def all_arrays(self) -> dict:
         return {name: tensor.data for name, tensor in self.tensors().items()}
 
-    def forward(self, ids: np.ndarray, train_mode: bool = False, rng=None,
-                trace: Optional[dict] = None, *, logits: bool = False) -> Tensor:
-        """Class probability rows for a batch of encoded documents, or the
-        pre-softmax scores with ``logits=True``."""
+    def _batch(self, ids) -> tuple[np.ndarray, bool]:
+        """``ids`` as an int64 (B, seq_len) batch, and whether it was one document."""
         ids = np.asarray(ids, dtype=np.int64)
         single = ids.ndim == 1
         if single:
@@ -201,6 +203,16 @@ class ConvLstmNetwork:
             raise nn.ShapeError(
                 f"encoded length {ids.shape[1]} != configured seq_len {self.cfg.seq_len}"
             )
+        if ids.size and (ids.min() < 0 or ids.max() >= self.embedding.data.shape[0]):
+            raise nn.ShapeError("embedding ids out of range")
+        return ids, single
+
+    def forward(self, ids: np.ndarray, train_mode: bool = False, rng=None,
+                trace: Optional[dict] = None, *, logits: bool = False) -> Tensor:
+        """Class probability rows for a batch of encoded documents, or the
+        pre-softmax scores with ``logits=True``, on the tape that training
+        differentiates."""
+        ids, single = self._batch(ids)
         rng = check_random_state(rng)
         cfg = self.cfg
 
@@ -216,8 +228,9 @@ class ConvLstmNetwork:
         for idx, (ksize, kernels, bias) in enumerate(self.channels):
             conv = traced(f"channel{idx}_conv", nn.relu(nn.conv1d(emb, kernels, bias)))
             conv = nn.dropout(conv, cfg.dropout_rate, train_mode, rng)
-            pooled = traced(f"channel{idx}_pooled", nn.maxpool1d(conv, cfg.pool))
-            branch_outputs.append(traced(f"channel{idx}_vector", nn.global_maxpool(pooled)))
+            if trace is not None:  # a global max after the max-pool is the global max alone
+                traced(f"channel{idx}_pooled", nn.maxpool1d(conv, cfg.pool))
+            branch_outputs.append(traced(f"channel{idx}_vector", nn.global_maxpool(conv)))
 
         hidden_states, final_state = nn.lstm_forward(emb, self.lstm)
         if cfg.lstm_branch == "final":
@@ -231,6 +244,38 @@ class ConvLstmNetwork:
         out = nn.dense(merged, self.head_w, self.head_b)
         if not logits:
             out = nn.softmax(out)
+        return out[0] if single else out
+
+    def infer(self, ids: np.ndarray, *, logits: bool = False) -> np.ndarray:
+        """Eval-mode ``forward`` without a tape.  Every conv tap and the LSTM
+        input transform are linear in the embedding rows, so each distinct id
+        is projected once and each position gathers its projections; a channel
+        vector is relu(max over positions of the conv + bias), as ReLU is
+        monotone.  Agrees with ``forward`` to float32 rounding and raises
+        FloatingPointError where it would."""
+        ids, single = self._batch(ids)
+        B, L = ids.shape
+        u, inv = np.unique(ids, return_inverse=True)
+        n, inv = len(u), inv.reshape(B, L)
+        rows = np.zeros((n + 1, self.cfg.emb_dim), dtype=self.embedding.data.dtype)
+        rows[:n] = self.embedding.data[u]  # row n is the zero padding of the conv edges
+        features = []
+        for ksize, kernels, bias in self.channels:
+            left = (ksize - 1) // 2
+            padded = np.pad(inv, ((0, 0), (left, ksize - 1 - left)), constant_values=n)
+            proj = np.matmul(rows, kernels.data)  # (K, n + 1, F), one tap per slab
+            conv = proj[0].take(padded[:, :L], axis=0)
+            for k in range(1, ksize):
+                conv += proj[k].take(padded[:, k:k + L], axis=0)
+            features.append(np.maximum(_finite(conv).max(axis=1) + bias.data, 0.0))
+        wx, _, lstm_bias = self.lstm.stacked()
+        z = (rows @ wx + lstm_bias).take(inv.T, axis=0)[:, :, None, :]  # (T, B, 1, 4U)
+        hidden = nn.lstm_recurrence(z, self.lstm)[0][0, 1:, :, 0]
+        features.append(hidden[-1] if self.cfg.lstm_branch == "final" else hidden.max(axis=0))
+        out = _finite(np.concatenate(features, axis=1) @ self.head_w.data + self.head_b.data)
+        if not logits:
+            e = np.exp(out - out.max(axis=-1, keepdims=True))
+            out = e / e.sum(axis=-1, keepdims=True)
         return out[0] if single else out
 
     def shape_trace(self) -> dict:
@@ -310,11 +355,10 @@ def _evaluate(net, data) -> tuple[float, float]:
     preds = []
     for lo in range(0, len(ids), 256):
         chunk = slice(lo, lo + 256)
-        with nn.no_grad():
-            scores = net.forward(ids[chunk], train_mode=False, logits=True)
-            loss = nn.softmax_cross_entropy(scores, labels[chunk])
+        scores = net.infer(ids[chunk], logits=True)
+        loss = nn.softmax_cross_entropy(Tensor(scores), labels[chunk])
         losses.append(float(loss.data) * (min(lo + 256, len(ids)) - lo))
-        preds.extend(np.argmax(scores.data, axis=1).tolist())
+        preds.extend(np.argmax(scores, axis=1).tolist())
     classes = list(range(net.cfg.n_classes))
     matrix = confusion_matrix(labels.tolist(), preds, classes)
     _, _, f1, _ = macro_prf(matrix)
@@ -323,9 +367,13 @@ def _evaluate(net, data) -> tuple[float, float]:
 
 def predict_proba(net: ConvLstmNetwork, encoded) -> np.ndarray:
     """Eval-mode class distribution(s) for one or many encoded documents."""
-    with nn.no_grad():
-        out = net.forward(np.asarray(encoded, dtype=np.int64), train_mode=False)
-    return out.data
+    return net.infer(encoded)
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("operation produced non-finite values")
+    return values
 
 
 class ConvLstmClassifier(ParamsMixin):
@@ -887,9 +935,24 @@ def _save(directory, model_type: str, est, tokens, arrays: dict, **extra) -> Non
     )
 
 
+def _same_kind(value, default) -> bool:
+    """Whether a loaded param has the type of its constructor default; an
+    int passes for a float, a None default stands for an int, and None
+    passes for a tuple (``char_ngram_range=None`` turns n-grams off)."""
+    if default is None:
+        return value is None or type(value) is int
+    if isinstance(default, tuple):
+        return value is None or (isinstance(value, tuple)
+                                 and all(_same_kind(v, default[0]) for v in value))
+    if type(default) is float:
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
 def load_classifier(directory):
-    """Rebuild a classifier written by its ``save``; raises ValueError when the
-    vocabulary does not match its hash or the weights do not match their manifest."""
+    """Rebuild a classifier written by its ``save``; raises ValueError when a
+    param does not have the type of its default, the vocabulary does not match
+    its hash, or the weights do not match their manifest."""
     sidecar = json.loads((Path(directory) / "model.json").read_text(encoding="utf-8"))
     model_types = {"convlstm": ConvLstmClassifier, "fasttext": FastTextClassifier,
                    "tfidf": TfidfClassifier}
@@ -901,7 +964,13 @@ def load_classifier(directory):
         raise ValueError(f"{directory}: vocabulary does not match vocabulary_sha256")
     # JSON has no tuples, and every sequence-valued param is a tuple
     params = {k: tuple(v) if isinstance(v, list) else v for k, v in sidecar["params"].items()}
-    est = model_types[sidecar["model_type"]]().set_params(**params)
+    est = model_types[sidecar["model_type"]]()
+    defaults = est.get_params()
+    for name, value in params.items():
+        if name in defaults and not _same_kind(value, defaults[name]):
+            raise ValueError(f"{directory}: model.json param {name!r} is {value!r}, "
+                             f"not of the type of its default {defaults[name]!r}")
+    est.set_params(**params)
     est.classes_ = sidecar["classes"]
     est._restore(tokens, arrays)
     return est

@@ -16,6 +16,7 @@ from .layers import (
     init_lstm_params,
     lstm_step,
     lstm_forward,
+    lstm_recurrence,
 )
 from .losses import cross_entropy_loss, softmax_cross_entropy, one_hot
 from .optim import Adagrad, AdagradState, adagrad_update
@@ -42,6 +43,7 @@ __all__ = [
     "init_lstm_params",
     "lstm_step",
     "lstm_forward",
+    "lstm_recurrence",
     "cross_entropy_loss",
     "softmax_cross_entropy",
     "one_hot",

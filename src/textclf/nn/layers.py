@@ -28,6 +28,7 @@ __all__ = [
     "init_lstm_params",
     "lstm_step",
     "lstm_forward",
+    "lstm_recurrence",
 ]
 
 
@@ -199,7 +200,7 @@ def gaussian_noise(x: Tensor, sigma: float, train_mode: bool, rng=None) -> Tenso
     if not train_mode or sigma == 0.0:
         return x
     rng = check_random_state(rng)
-    noise = rng.normal(0.0, sigma, size=x.data.shape).astype(x.data.dtype)
+    noise = rng.standard_normal(x.data.shape, dtype=x.data.dtype) * sigma
 
     def backward(g):
         x._accumulate(g)
@@ -244,6 +245,13 @@ class LstmParams:
     @property
     def peephole(self) -> bool:
         return self.w_c is not None
+
+    def stacked(self) -> tuple:
+        """Input weights (K*C, 4U), state weights (K*U, 4U) and biases (4U,),
+        each with the gates side by side in the order i, f, c, o."""
+        units = self.b["i"].data.shape[0]
+        return tuple(np.concatenate([table[g].data.reshape(-1, units) for g in _GATES], axis=1)
+                     for table in (self.w_x, self.w_h, self.b))
 
     def tensors(self) -> dict:
         out = {f"{name}{gate}": table[gate] for gate in _GATES
@@ -359,51 +367,79 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
+def lstm_recurrence(z: np.ndarray, params: LstmParams, initial=None):
+    """The gate recurrence without a tape.  ``z`` (T, B, S, 4U) holds each
+    step's input transform plus bias, gates stacked as in ``stacked``, and
+    receives the state transforms in place; ``initial`` is an optional
+    (hidden, cell) pair of (B, S, U).  Returns the states (2, T + 1, B, S, U),
+    index 0 the initial one, and the gate activations (T, B, S, 4U)."""
+    T, B, S, _ = z.shape
+    U = params.b["i"].data.shape[0]
+    _, wh, _ = params.stacked()
+    width = wh.shape[0] // U
+    peep = [params.w_c[g].data for g in ("i", "f", "o")] if params.peephole else None
+    acts = np.empty_like(z)
+    states = np.zeros((2, T + 1, B, S, U), dtype=z.dtype)
+    if initial is not None:
+        states[:, 0] = initial
+    recurrent = np.empty((B * S, 4 * U), dtype=z.dtype)
+    # step t reads states[:, t] and writes states[:, t + 1], in place
+    for t in range(T):
+        c, zt, at = states[1, t], z[t], acts[t]
+        np.matmul(_im2col(states[0, t], width).reshape(B * S, -1), wh, out=recurrent)
+        zt += recurrent.reshape(B, S, 4 * U)
+        i, f, g, o = (at[..., k * U:(k + 1) * U] for k in range(4))
+        if peep is not None:
+            zt[..., :U] += peep[0] * c
+            zt[..., U:2 * U] += peep[1] * c
+        # sigmoid(x) = 0.5 * tanh(0.5 * x) + 0.5 over the whole contiguous
+        # step, then tanh over the candidate slice: numpy's loops run at
+        # half speed or less on the strided gate slices
+        np.multiply(zt, 0.5, out=at)
+        np.tanh(at, out=at)
+        at *= 0.5
+        at += 0.5
+        np.tanh(zt[..., 2 * U:3 * U], out=g)
+        cell, hidden = states[1, t + 1], states[0, t + 1]
+        np.multiply(f, c, out=cell)
+        cell += i * g
+        if peep is not None:
+            zo = zt[..., 3 * U:]
+            zo += peep[2] * cell
+            o[...] = _sigmoid(zo)
+        np.tanh(cell, out=hidden)
+        hidden *= o
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("operation produced non-finite values")
+    return states, acts
+
+
 def _lstm_sequence(x: Tensor, params: LstmParams, state: Optional[LstmState]) -> Tensor:
     """One tape node for the whole recurrence over (B, T, *step_shape).
 
     Returns the hidden and cell states of every step stacked as
     (2, B, T, *state_shape).  The input transforms of all steps are one
-    GEMM against the per-gate weights stacked to (K*C, 4U); each step
-    adds one (K*U, 4U) GEMM of its state, and backward is hand-written
-    BPTT.  Dense mode is the width-1 convolution over a length-1 axis,
-    so both modes share the im2col code of ``conv1d``.
+    GEMM against the per-gate weights stacked to (K*C, 4U); each step of
+    ``lstm_recurrence`` adds one (K*U, 4U) GEMM of its state, and
+    backward is hand-written BPTT.  Dense mode is the width-1 convolution
+    over a length-1 axis, so both modes share the im2col code of ``conv1d``.
     """
     dense_mode = params.mode == "dense"
     xd = x.data[:, :, None, :] if dense_mode else x.data
     B, T, S, C = xd.shape
     U = params.b["i"].data.shape[0]
     width = 1 if dense_mode else params.w_x["i"].data.shape[0]
-    wx, wh, bias = (np.concatenate([table[g].data.reshape(-1, U) for g in _GATES], axis=1)
-                    for table in (params.w_x, params.w_h, params.b))
+    wx, wh, bias = params.stacked()
     if wx.shape[0] != width * C:
         raise ShapeError(f"step input {xd.shape[2:]} does not fit weights {params.w_x['i'].shape}")
     peep = [params.w_c[g].data for g in ("i", "f", "o")] if params.peephole else None
 
-    # time-major: step t reads states[:, t] and writes states[:, t + 1]
     xt = np.ascontiguousarray(xd.transpose(1, 0, 2, 3)).reshape(T * B, S, C)
     xcols = _im2col(xt, width).reshape(T * B * S, width * C)
     z = (xcols @ wx + bias).reshape(T, B, S, 4 * U)
-    acts = np.empty_like(z)
-    states = np.zeros((2, T + 1, B, S, U), dtype=z.dtype)
-    if state is not None:
-        states[:, 0] = [given.data.reshape(B, S, U) for given in (state.hidden, state.cell)]
-    for t in range(T):
-        c = states[1, t]
-        z[t] += (_im2col(states[0, t], width).reshape(B * S, -1) @ wh).reshape(B, S, 4 * U)
-        zi, zf, zg, zo = np.split(z[t], 4, axis=-1)
-        i, f, g, o = np.split(acts[t], 4, axis=-1)
-        if peep is not None:
-            zi += peep[0] * c
-            zf += peep[1] * c
-        i[...], f[...], g[...] = _sigmoid(zi), _sigmoid(zf), np.tanh(zg)
-        c = states[1, t + 1] = f * c + i * g
-        if peep is not None:
-            zo += peep[2] * c
-        o[...] = _sigmoid(zo)
-        states[0, t + 1] = o * np.tanh(c)
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError("operation produced non-finite values")
+    initial = None if state is None else [
+        given.data.reshape(B, S, U) for given in (state.hidden, state.cell)]
+    states, acts = lstm_recurrence(z, params, initial)
     out = states[:, 1:].transpose(0, 2, 1, 3, 4)
 
     def backward(grad):

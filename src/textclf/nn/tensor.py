@@ -55,6 +55,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+_BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -189,7 +192,11 @@ class Tensor:
         def backward(g):
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, key, g)
+                parts = key if isinstance(key, tuple) else (key,)
+                if all(isinstance(k, _BASIC_INDEX) and not isinstance(k, bool) for k in parts):
+                    full[key] += g  # a basic index reaches each element at most once
+                else:
+                    np.add.at(full, key, g)
                 self._accumulate(full)
         return Tensor._op(self.data[key], (self,), backward)
 

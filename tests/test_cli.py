@@ -210,6 +210,27 @@ class TestTrainPredictEval:
         assert captured.out == ""
         assert "weights.bin holds" in captured.err
 
+    @pytest.mark.parametrize("name, value", [("seq_len", "6"), ("seq_len", 6.0),
+                                             ("kernel_sizes", ["3"]), ("peephole", 1)])
+    def test_predict_on_mistyped_param_is_data_error(self, corpus_file, tmp_path, capsys,
+                                                     monkeypatch, name, value):
+        outdir = tmp_path / "run"
+        assert run_command([
+            "train", "--input", str(corpus_file), "--output-dir", str(outdir),
+            "--model", "convlstm", "--task", "hate_speech", "--epochs", "1",
+            "--seq-len", "10", "--emb-dim", "8", "--filters", "2",
+            "--lstm-units", "3", "--seed", "0",
+        ]) == 0
+        path = outdir / "model" / "model.json"
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        sidecar["params"][name] = value
+        path.write_text(json.dumps(sidecar), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", _FakeStdin(["a b c\n"]))
+        assert run_command(["predict", "--model-dir", str(outdir / "model")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"param {name!r}" in captured.err
+
     def test_unlabeled_corpus_is_data_error(self, tmp_path):
         path = tmp_path / "plain.tsv"
         path.write_text("just tokens here\nmore tokens\n", encoding="utf-8")

@@ -259,7 +259,123 @@ class TestFusedRecurrentBranch:
         assert not untaped.requires_grad
         assert untaped._parents == () and untaped._backward is None
         np.testing.assert_array_equal(untaped.data, taped.data)
-        np.testing.assert_array_equal(predict_proba(net, ids), taped.data)
+        np.testing.assert_array_equal(predict_proba(net, ids), net.infer(ids))
+        np.testing.assert_allclose(net.infer(ids), taped.data, rtol=0, atol=1e-6)
+
+
+def _pooled_scores(net, ids, rng):
+    """Train-mode class scores of the graph that max-pools each channel
+    before its global max, drawing noise and dropout in ``forward``'s order."""
+    cfg = net.cfg
+    emb = nn.gaussian_noise(nn.embedding_lookup(net.embedding, ids), cfg.noise_sigma, True, rng)
+    branches = []
+    for _, kernels, bias in net.channels:
+        conv = nn.dropout(nn.relu(nn.conv1d(emb, kernels, bias)), cfg.dropout_rate, True, rng)
+        branches.append(nn.global_maxpool(nn.maxpool1d(conv, cfg.pool)))
+    branches.append(nn.lstm_forward(emb, net.lstm)[1].hidden)
+    merged = nn.dropout(nn.concat(branches, axis=-1), cfg.dropout_rate, True, rng)
+    return nn.dense(merged, net.head_w, net.head_b)
+
+
+class TestSkippedPool:
+    def test_outputs_and_gradients_match_pooled_graph(self):
+        # seq_len 11 leaves a partial last window; dropout leaves ties at zero
+        cfg = ConvLstmConfig(seq_len=11, emb_dim=6, kernel_sizes=(2, 5), filters_per_channel=4,
+                             pool=3, lstm_units=3, dropout_rate=0.4, noise_sigma=0.1, n_classes=3)
+        net = ConvLstmNetwork(cfg, vocab_size=12, seed=4)
+        ids = np.random.default_rng(6).integers(0, 13, size=(5, 11))
+        labels = np.array([0, 1, 2, 1, 0])
+        results = []
+        for scores_of in (lambda rng: net.forward(ids, True, rng, logits=True),
+                          lambda rng: _pooled_scores(net, ids, rng)):
+            scores = scores_of(np.random.default_rng(9))
+            for tensor in net.parameters().values():
+                tensor.zero_grad()
+            nn.softmax_cross_entropy(scores, labels).backward()
+            results.append((scores.data, {k: t.grad for k, t in net.parameters().items()}))
+        (skipped, skipped_grads), (pooled, pooled_grads) = results
+        np.testing.assert_array_equal(skipped, pooled)
+        for name, grad in pooled_grads.items():
+            np.testing.assert_array_equal(skipped_grads[name], grad, err_msg=name)
+
+
+class TestInfer:
+    """The no-tape eval path against the taped forward."""
+
+    @staticmethod
+    def _net(branch="final", peephole=False, seed=3):
+        cfg = ConvLstmConfig(seq_len=12, emb_dim=7, kernel_sizes=(1, 4, 5, 8),
+                             filters_per_channel=5, pool=3, lstm_units=4, n_classes=3,
+                             lstm_branch=branch, peephole=peephole)
+        net = ConvLstmNetwork(cfg, vocab_size=20, seed=seed)
+        rng = np.random.default_rng(seed)
+        net.embedding.data[0] = rng.normal(scale=0.5, size=7)  # exactness must not lean on it
+        for _, _, bias in net.channels:  # negative biases make the ReLU clip
+            bias.data[...] = rng.normal(scale=0.3, size=bias.shape)
+        for tensor in (net.lstm.w_c or {}).values():
+            tensor.data[...] = rng.normal(scale=0.5, size=tensor.shape)
+        return net
+
+    @staticmethod
+    def _ids(n=6, seed=0):
+        ids = np.random.default_rng(seed).integers(1, 21, size=(n, 12))
+        ids[:, 4] = 0  # padding inside the sequence
+        ids[1, 7:] = 0
+        return ids
+
+    @staticmethod
+    def _taped(net, ids, logits=False):
+        with nn.no_grad():
+            return net.forward(ids, logits=logits).data
+
+    @pytest.mark.parametrize("branch", ["final", "temporal_max"])
+    @pytest.mark.parametrize("peephole", [False, True])
+    def test_matches_taped_forward(self, branch, peephole):
+        net, ids = self._net(branch, peephole), self._ids()
+        for logits in (False, True):
+            taped, fast = self._taped(net, ids, logits), net.infer(ids, logits=logits)
+            assert fast.shape == taped.shape and fast.dtype == taped.dtype
+            np.testing.assert_allclose(fast, taped, rtol=0, atol=1e-6)
+            np.testing.assert_array_equal(fast.argmax(axis=1), taped.argmax(axis=1))
+
+    def test_single_document_and_batch_of_one(self):
+        net, ids = self._net("temporal_max"), self._ids()
+        single = net.infer(ids[1])
+        assert single.shape == (3,)
+        np.testing.assert_allclose(single, self._taped(net, ids[1]), rtol=0, atol=1e-6)
+        np.testing.assert_allclose(net.infer(ids[1:2]), single[None, :], rtol=0, atol=1e-6)
+
+    def test_chunking_changes_nothing(self):
+        net, ids = self._net(peephole=True), self._ids(n=9, seed=2)
+        whole = net.infer(ids)
+        for size in (1, 2, 4):
+            pieces = np.concatenate([net.infer(ids[i:i + size]) for i in range(0, len(ids), size)])
+            np.testing.assert_allclose(pieces, whole, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("where", ["embedding", "kernel", "lstm", "head"])
+    def test_non_finite_weights_raise(self, where):
+        net, ids = self._net(), self._ids()
+        if where == "embedding":
+            net.embedding.data[ids[0, 0]] = np.nan
+        elif where == "kernel":  # every position of one filter is -inf before the ReLU
+            net.channels[0][1].data[:, :, 0] = -np.inf
+            net.embedding.data[...] = np.abs(net.embedding.data) + 0.1
+        elif where == "lstm":
+            net.lstm.w_h["f"].data[0, 0] = np.inf
+        else:
+            net.head_w.data[0, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError):
+                self._taped(net, ids)
+            with pytest.raises(FloatingPointError):
+                net.infer(ids)
+
+    def test_out_of_range_ids_rejected(self):
+        net, ids = self._net(), self._ids()
+        for bad in (-1, 21):
+            ids[0, 0] = bad
+            with pytest.raises(nn.ShapeError):
+                net.infer(ids)
 
 
 class TestConvLstmClassifier:
@@ -427,11 +543,12 @@ class TestBaselines:
 
     def test_tfidf_classifier_save_load(self, small_corpus, tmp_path):
         docs, labels, _ = small_corpus
-        # every kind, kNN included, must also reload when the labels are not strings
+        # every kind, kNN included, must also reload when the labels are not strings,
+        # and a model without character n-grams must reload too
         int_labels = [sorted(set(labels)).index(label) for label in labels]
         for y in (labels, int_labels):
-            for kind in ("logreg", "multinomial_nb", "knn"):
-                clf = TfidfClassifier(kind=kind, char_ngram_range=(2, 3))
+            for kind, ngrams in (("logreg", (2, 3)), ("multinomial_nb", None), ("knn", (2, 3))):
+                clf = TfidfClassifier(kind=kind, char_ngram_range=ngrams)
                 clf.fit(docs, y)
                 clf.save(tmp_path / kind)
                 loaded = load_classifier(tmp_path / kind)

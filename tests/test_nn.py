@@ -62,6 +62,25 @@ class TestTensorBasics:
         x = Tensor(rng.choice([-1e4, 0.0, 1e4], size=(10, 7)))
         np.testing.assert_allclose(nn.softmax(x).data.sum(axis=1), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("key", [3, (slice(1, 5), 2), (Ellipsis, -1), (None, slice(None, None, 2)),
+                                     (np.int64(2), slice(None, None, -1), None)])
+    def test_basic_index_gradient_matches_scatter_add(self, key):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(6, 4, 3)), requires_grad=True)
+        w = rng.normal(size=x.data[key].shape)
+        (x[key] * Tensor(w)).sum().backward()
+        expected = np.zeros_like(x.data)
+        np.add.at(expected, key, w)
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_integer_array_index_accumulates_repeats(self):
+        x = Tensor(np.arange(5.0), requires_grad=True)
+        (x[np.array([1, 3, 1, 1])] * Tensor([1.0, 2.0, 3.0, 4.0])).sum().backward()
+        assert x.grad.tolist() == [0.0, 8.0, 0.0, 2.0, 0.0]
+        y = Tensor(np.ones((3, 2)), requires_grad=True)
+        y[[0, 0], 1].sum().backward()
+        assert y.grad.tolist() == [[0.0, 2.0], [0.0, 0.0], [0.0, 0.0]]
+
 
 class TestConv1d:
     def test_hand_convolution(self):
@@ -300,6 +319,14 @@ class TestDropoutNoise:
         out = nn.gaussian_noise(x, 0.1, train_mode=True, rng=np.random.default_rng(1))
         assert abs(out.data.mean()) < 3 * 0.1 / np.sqrt(100_000)
         assert abs(out.data.std() - 0.1) < 0.005
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_noise_drawn_in_input_dtype(self, dtype):
+        x = Tensor(np.zeros(8, dtype=dtype))
+        out = nn.gaussian_noise(x, 0.5, train_mode=True, rng=np.random.default_rng(3))
+        assert out.data.dtype == dtype
+        expected = np.random.default_rng(3).standard_normal(8, dtype=dtype) * 0.5
+        np.testing.assert_array_equal(out.data, expected)
 
     def test_seeded_mask_reproducible(self):
         x = Tensor(np.ones(64))
