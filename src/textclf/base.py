@@ -10,8 +10,6 @@ __all__ = [
     "ConfigurationError",
     "ParamsMixin",
     "check_random_state",
-    "ensure_positive",
-    "ensure_in",
     "stable_hash",
     "derive_seed",
 ]
@@ -65,18 +63,6 @@ def check_random_state(seed):
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def ensure_positive(name, value, minimum=1):
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def ensure_in(name, value, choices):
-    if value not in choices:
-        raise ValueError(f"{name} must be one of {sorted(choices)}, got {value!r}")
-    return value
 
 
 def stable_hash(text: str) -> int:

@@ -26,15 +26,7 @@ from .embeddings import (
     load_word_vectors,
     save_word_vectors,
 )
-from .eval import (
-    EvalReport,
-    calibration_curve,
-    confusion_matrix,
-    cross_validate,
-    macro_prf,
-    mcc,
-    roc_auc,
-)
+from .eval import EvalReport, _binary_curves, confusion_matrix, cross_validate, macro_prf, mcc
 from .model import ConvLstmClassifier, FastTextClassifier, TfidfClassifier, load_classifier
 from .pipeline import (
     PipelineConfig,
@@ -196,7 +188,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--min-df", dest="min_df", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
 
     p = sub.add_parser("train", help="fit a classifier (optionally cross-validated)")
     p.add_argument("--input", required=True)
@@ -261,7 +252,7 @@ _EMBED_KINDS = {"sgns": SkipGramEmbedding, "glove": GloveEmbedding,
 def _cmd_embed(args) -> int:
     defaults = {
         "kind": "sgns", "dim": 100, "window": 5, "negatives": 10, "epochs": 5,
-        "learning_rate": 0.025, "min_df": 1, "seed": 0, "threads": 1,
+        "learning_rate": 0.025, "min_df": 1, "seed": 0,
     }
     config = _merge_config(args, defaults)
     docs = load_tokenized_documents(args.input)
@@ -270,7 +261,6 @@ def _cmd_embed(args) -> int:
     params = dict(config)
     if kind == "glove":
         params.pop("negatives")
-        params.pop("threads")
     estimator = maker(**params)
     estimator.fit(docs)
     output = Path(args.output)
@@ -395,15 +385,7 @@ def _cmd_eval(args) -> int:
             scores = np.asarray(probabilities, dtype=np.float64)
             if scores.ndim == 2:
                 scores = scores[:, 1]
-            binary = np.array([1 if l == classes[1] else 0 for l in gold])
-            if len(set(binary.tolist())) == 2:
-                curve, auc_value = roc_auc(scores, binary)
-                report.holdout_metrics["auc"] = auc_value
-                report.roc = {"points": [list(pt) for pt in curve.points],
-                              "auc": auc_value}
-                report.calibration = [
-                    list(row) for row in calibration_curve(scores, binary).to_rows()
-                ]
+            _binary_curves(report, scores, gold, classes[1])
     output_dir = Path(args.output_dir) if args.output_dir else Path(args.pred).parent
     artifacts = write_report(report, output_dir)
     _write_manifest(output_dir, "eval",

@@ -61,6 +61,13 @@ class Vocabulary:
             self.token_to_id[t]: document_frequency[t] for t in tokens
         }
 
+    @classmethod
+    def from_tokens(cls, tokens) -> "Vocabulary":
+        """A saved vocabulary with ids in ``tokens`` order; its synthetic
+        frequencies only preserve that order."""
+        return cls(tokens, {t: len(tokens) - i for i, t in enumerate(tokens)},
+                   {t: 1 for t in tokens})
+
     def __len__(self):
         return len(self.token_to_id)
 

@@ -2,14 +2,11 @@
 log-co-occurrence weighted least squares, and subword bucket skip-gram,
 plus query-time handling of out-of-vocabulary words.
 
-All trainers are deterministic for a fixed seed when run single-threaded.
-An opt-in threaded mode applies unsynchronized concurrent updates and is
-approximate and non-deterministic by design.
+All trainers are single-threaded and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -106,6 +103,8 @@ class NegativeSampler:
         return np.searchsorted(self.cumulative, u, side="right")
 
     def draw_excluding(self, exclude: int, k: int, max_tries: int = 100) -> np.ndarray:
+        """k ids, each the first of up to ``max_tries`` draws that is not
+        ``exclude``; raises ValueError when every try of a slot draws it."""
         out = []
         for _ in range(k):
             for _ in range(max_tries):
@@ -113,6 +112,11 @@ class NegativeSampler:
                 if candidate != exclude:
                     out.append(candidate)
                     break
+            else:
+                raise ValueError(
+                    f"no negative other than id {exclude} in {max_tries} draws; "
+                    "the corpus needs at least two distinct tokens"
+                )
         return np.array(out, dtype=np.int64)
 
 
@@ -234,7 +238,7 @@ def _encode_for_training(docs, vocab) -> list[np.ndarray]:
     return encoded
 
 
-def train_sgns(docs, vocab: Vocabulary, spec: TrainSpec, threads: int = 1) -> EmbeddingModel:
+def train_sgns(docs, vocab: Vocabulary, spec: TrainSpec) -> EmbeddingModel:
     """Skip-gram training over all in-window pairs, one pass per epoch."""
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
@@ -252,55 +256,31 @@ def train_sgns(docs, vocab: Vocabulary, spec: TrainSpec, threads: int = 1) -> Em
         output_vectors=vout,
         seed=spec.seed,
     )
-    _run_sgns_epochs(model, encoded, spec, threads, subword=False)
+    _run_sgns_epochs(model, encoded, spec, subword=False)
     return model
 
 
-def _run_sgns_epochs(model, encoded, spec, threads, subword: bool):
-    if threads <= 1:
-        sampler = NegativeSampler(
-            model.vocab.frequencies_array(), spec.power, seed=derive_seed(spec.seed, "sampler")
-        )
-        rng = check_random_state(derive_seed(spec.seed, "windows"))
-        for _ in range(spec.epochs):
-            total, count = 0.0, 0
-            for ids in encoded:
-                for t, j in _context_pairs(ids, spec.window, rng):
-                    negatives = sampler.draw_excluding(int(ids[j]), spec.negatives)
-                    if subword:
-                        loss = _subword_pair_step(
-                            model, ids[t], int(ids[j]), negatives, spec.learning_rate
-                        )
-                    else:
-                        loss = sgns_pair_step(
-                            int(ids[t]), int(ids[j]), negatives, model, spec.learning_rate
-                        )
-                    total += loss
-                    count += 1
-            model.epoch_losses.append(total / max(count, 1))
-        return
-
-    # Opt-in hogwild-style mode: shards update the shared tables without
-    # synchronization; results are approximate and not reproducible.
-    shards = [encoded[i::threads] for i in range(threads)]
-
-    def run_shard(shard_index):
-        shard_spec = TrainSpec(**{**spec.__dict__, "seed": derive_seed(spec.seed, "shard", shard_index)})
-        sampler = NegativeSampler(
-            model.vocab.frequencies_array(), spec.power, seed=shard_spec.seed
-        )
-        rng = check_random_state(derive_seed(shard_spec.seed, "windows"))
-        for _ in range(spec.epochs):
-            for ids in shards[shard_index]:
-                for t, j in _context_pairs(ids, spec.window, rng):
-                    negatives = sampler.draw_excluding(int(ids[j]), spec.negatives)
-                    if subword:
-                        _subword_pair_step(model, ids[t], int(ids[j]), negatives, spec.learning_rate)
-                    else:
-                        sgns_pair_step(int(ids[t]), int(ids[j]), negatives, model, spec.learning_rate)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_shard, range(threads)))
+def _run_sgns_epochs(model, encoded, spec, subword: bool):
+    sampler = NegativeSampler(
+        model.vocab.frequencies_array(), spec.power, seed=derive_seed(spec.seed, "sampler")
+    )
+    rng = check_random_state(derive_seed(spec.seed, "windows"))
+    for _ in range(spec.epochs):
+        total, count = 0.0, 0
+        for ids in encoded:
+            for t, j in _context_pairs(ids, spec.window, rng):
+                negatives = sampler.draw_excluding(int(ids[j]), spec.negatives)
+                if subword:
+                    loss = _subword_pair_step(
+                        model, ids[t], int(ids[j]), negatives, spec.learning_rate
+                    )
+                else:
+                    loss = sgns_pair_step(
+                        int(ids[t]), int(ids[j]), negatives, model, spec.learning_rate
+                    )
+                total += loss
+                count += 1
+        model.epoch_losses.append(total / max(count, 1))
 
 
 # -- co-occurrence factorization ------------------------------------------
@@ -478,7 +458,7 @@ def _compose_subword(model: EmbeddingModel, word: str) -> np.ndarray:
     return model.bucket_vectors[np.array(ids, dtype=np.int64)].mean(axis=0)
 
 
-def train_subword_sgns(docs, vocab: Vocabulary, spec: TrainSpec, threads: int = 1) -> EmbeddingModel:
+def train_subword_sgns(docs, vocab: Vocabulary, spec: TrainSpec) -> EmbeddingModel:
     """Skip-gram over bucket-composed centers; distributes gradients to
     every contributing bucket row and materializes word vectors afterwards.
     """
@@ -504,7 +484,7 @@ def train_subword_sgns(docs, vocab: Vocabulary, spec: TrainSpec, threads: int = 
         bucket_count=spec.bucket_count,
         seed=spec.seed,
     )
-    _run_sgns_epochs(model, encoded, spec, threads, subword=True)
+    _run_sgns_epochs(model, encoded, spec, subword=True)
     for token, token_id in vocab.token_to_id.items():
         model.input_vectors[token_id] = _compose_subword(model, token)
     return model
@@ -610,10 +590,7 @@ def load_word_vectors(path, kind: str = "sgns", seed: int = 0) -> EmbeddingModel
         rows.append(np.array([float(v) for v in values], dtype=np.float32))
     if len(tokens) not in (count, count - 1):
         raise ValueError(f"{path} header promises {count} rows, found {len(tokens)}")
-    # Synthetic frequencies preserve file order for id assignment.
-    cf = {t: len(tokens) - i for i, t in enumerate(tokens)}
-    df = {t: 1 for t in tokens}
-    vocab = Vocabulary(tokens, cf, df)
+    vocab = Vocabulary.from_tokens(tokens)
     table = np.zeros((len(tokens) + 1, dim), dtype=np.float32)
     for i, row in enumerate(rows):
         table[i + 1] = row
@@ -648,7 +625,6 @@ class SkipGramEmbedding(ParamsMixin, _EmbeddingEstimator):
         learning_rate=0.025,
         seed=0,
         min_df=1,
-        threads=1,
     ):
         self.dim = dim
         self.window = window
@@ -657,7 +633,6 @@ class SkipGramEmbedding(ParamsMixin, _EmbeddingEstimator):
         self.learning_rate = learning_rate
         self.seed = seed
         self.min_df = min_df
-        self.threads = threads
 
     def _train(self, docs, vocab):
         spec = TrainSpec(
@@ -668,7 +643,7 @@ class SkipGramEmbedding(ParamsMixin, _EmbeddingEstimator):
             learning_rate=self.learning_rate,
             seed=self.seed,
         )
-        return train_sgns(docs, vocab, spec, threads=self.threads)
+        return train_sgns(docs, vocab, spec)
 
 
 class GloveEmbedding(ParamsMixin, _EmbeddingEstimator):
@@ -719,7 +694,6 @@ class SubwordEmbedding(ParamsMixin, _EmbeddingEstimator):
         bucket_count=2**16,
         seed=0,
         min_df=1,
-        threads=1,
     ):
         self.dim = dim
         self.window = window
@@ -731,7 +705,6 @@ class SubwordEmbedding(ParamsMixin, _EmbeddingEstimator):
         self.bucket_count = bucket_count
         self.seed = seed
         self.min_df = min_df
-        self.threads = threads
 
     def _train(self, docs, vocab):
         spec = TrainSpec(
@@ -745,4 +718,4 @@ class SubwordEmbedding(ParamsMixin, _EmbeddingEstimator):
             bucket_count=self.bucket_count,
             seed=self.seed,
         )
-        return train_subword_sgns(docs, vocab, spec, threads=self.threads)
+        return train_subword_sgns(docs, vocab, spec)

@@ -231,6 +231,35 @@ def _score_split(model, docs, labels, classes) -> dict:
     return out
 
 
+def _binary_curves(report: EvalReport, scores, gold, positive) -> None:
+    """Set the hold-out AUC, ROC curve and calibration of the ``positive``
+    class ``scores`` on ``report``, when ``gold`` holds both classes."""
+    binary = np.array([1 if label == positive else 0 for label in gold])
+    if len(set(binary.tolist())) == 2:
+        curve, auc_value = roc_auc(scores, binary)
+        report.holdout_metrics["auc"] = auc_value
+        report.roc = {"points": [list(p) for p in curve.points], "auc": auc_value}
+        report.calibration = [list(row) for row in calibration_curve(scores, binary).to_rows()]
+
+
+def _docs_and_labels(ds: LabeledDataset, indices=None) -> tuple[list, list]:
+    docs = ds.documents if indices is None else [ds.documents[i] for i in indices]
+    return [d.tokens for d in docs], [d.label for d in docs]
+
+
+def _holdout_and_folds(dataset: LabeledDataset, k: int, seed: int, holdout_fraction: float):
+    """The stratified hold-out and k stratified folds of the rest: training and
+    hold-out (docs, labels), the fold assignment, and per fold (fit docs, fit
+    labels, validation docs, validation labels)."""
+    train_idx, test_idx = stratified_holdout(dataset, holdout_fraction, seed)
+    train_ds = dataset.subset(train_idx)
+    assignment = stratified_kfold(train_ds, k, derive_seed(seed, "cv"))
+    folds = [(*_docs_and_labels(train_ds, assignment.complement_of(fold)),
+              *_docs_and_labels(train_ds, assignment.indices_of(fold)))
+             for fold in range(k)]
+    return _docs_and_labels(train_ds), _docs_and_labels(dataset, test_idx), assignment, folds
+
+
 def cross_validate(trainer: Callable, dataset: LabeledDataset, k: int = 5,
                    seed: int = 0, holdout_fraction: float = 0.2,
                    config_echo: Optional[dict] = None) -> EvalReport:
@@ -243,19 +272,11 @@ def cross_validate(trainer: Callable, dataset: LabeledDataset, k: int = 5,
     validated exactly once; the final model is refit on the whole training
     portion and scored on the hold-out.
     """
-    train_idx, test_idx = stratified_holdout(dataset, holdout_fraction, seed)
-    train_ds = dataset.subset(train_idx)
-    test_ds = dataset.subset(test_idx)
-    assignment = stratified_kfold(train_ds, k, derive_seed(seed, "cv"))
+    train, (test_docs, gold), assignment, folds = _holdout_and_folds(
+        dataset, k, seed, holdout_fraction)
 
     fold_metrics: dict[str, list] = {}
-    for fold in range(k):
-        fit_idx = assignment.complement_of(fold)
-        val_idx = assignment.indices_of(fold)
-        fit_docs = [train_ds.documents[i].tokens for i in fit_idx]
-        fit_labels = [train_ds.documents[i].label for i in fit_idx]
-        val_docs = [train_ds.documents[i].tokens for i in val_idx]
-        val_labels = [train_ds.documents[i].label for i in val_idx]
+    for fit_docs, fit_labels, val_docs, val_labels in folds:
         model = trainer()
         model.fit(fit_docs, fit_labels)
         scores = _score_split(model, val_docs, val_labels, dataset.classes)
@@ -269,11 +290,8 @@ def cross_validate(trainer: Callable, dataset: LabeledDataset, k: int = 5,
     }
 
     final = trainer()
-    final.fit([d.tokens for d in train_ds.documents], [d.label for d in train_ds.documents])
-    holdout = _score_split(
-        final, [d.tokens for d in test_ds.documents], [d.label for d in test_ds.documents],
-        dataset.classes,
-    )
+    final.fit(*train)
+    holdout = _score_split(final, test_docs, gold, dataset.classes)
 
     report = EvalReport(
         classes=list(dataset.classes),
@@ -291,16 +309,9 @@ def cross_validate(trainer: Callable, dataset: LabeledDataset, k: int = 5,
         fold_assignment=[int(f) for f in assignment.folds],
     )
 
-    probs = np.asarray(final.predict_proba([d.tokens for d in test_ds.documents]))
-    gold = [d.label for d in test_ds.documents]
+    probs = np.asarray(final.predict_proba(test_docs))
     if len(dataset.classes) == 2:
-        binary = np.array([1 if l == dataset.classes[1] else 0 for l in gold])
-        if len(set(binary.tolist())) == 2:
-            curve, auc_value = roc_auc(probs[:, 1], binary)
-            report.roc = {"points": [list(p) for p in curve.points], "auc": auc_value}
-            report.calibration = [
-                list(row) for row in calibration_curve(probs[:, 1], binary).to_rows()
-            ]
+        _binary_curves(report, probs[:, 1], gold, dataset.classes[1])
     else:
         per_class_roc = {}
         aucs = []
@@ -333,21 +344,13 @@ def cross_validate_ensemble(trainers: dict, dataset: LabeledDataset, k: int = 5,
     """
     from .model import ensemble_average
 
-    train_idx, test_idx = stratified_holdout(dataset, holdout_fraction, seed)
-    train_ds = dataset.subset(train_idx)
-    test_ds = dataset.subset(test_idx)
-    assignment = stratified_kfold(train_ds, k, derive_seed(seed, "cv"))
+    train, (test_docs, gold), assignment, folds = _holdout_and_folds(
+        dataset, k, seed, holdout_fraction)
 
     fold_scores: dict[str, list] = {name: [] for name in trainers}
     ensemble_fold_f1 = []
     fold_members = []
-    for fold in range(k):
-        fit_idx = assignment.complement_of(fold)
-        val_idx = assignment.indices_of(fold)
-        fit_docs = [train_ds.documents[i].tokens for i in fit_idx]
-        fit_labels = [train_ds.documents[i].label for i in fit_idx]
-        val_docs = [train_ds.documents[i].tokens for i in val_idx]
-        val_labels = [train_ds.documents[i].label for i in val_idx]
+    for fit_docs, fit_labels, val_docs, val_labels in folds:
         fitted = {}
         for name, trainer in trainers.items():
             model = trainer()
@@ -368,13 +371,9 @@ def cross_validate_ensemble(trainers: dict, dataset: LabeledDataset, k: int = 5,
     members = []
     for name in final_members:
         model = trainers[name]()
-        model.fit(
-            [d.tokens for d in train_ds.documents], [d.label for d in train_ds.documents]
-        )
+        model.fit(*train)
         members.append(model)
 
-    test_docs = [d.tokens for d in test_ds.documents]
-    gold = [d.label for d in test_ds.documents]
     probs = ensemble_average(members, test_docs)
     pred = [dataset.classes[i] for i in np.argmax(probs, axis=1)]
     matrix = confusion_matrix(gold, pred, dataset.classes)
@@ -413,8 +412,7 @@ def learning_curve(trainer: Callable, dataset: LabeledDataset,
         raise ValueError("fractions must be ascending")
     train_idx, valid_idx = stratified_holdout(dataset, holdout_fraction, seed)
     train_ds = dataset.subset(train_idx)
-    valid_docs = [dataset.documents[i].tokens for i in valid_idx]
-    valid_labels = [dataset.documents[i].label for i in valid_idx]
+    valid_docs, valid_labels = _docs_and_labels(dataset, valid_idx)
 
     rng = check_random_state(derive_seed(seed, "curve"))
     by_class = {c: [] for c in dataset.classes}
@@ -435,8 +433,7 @@ def learning_curve(trainer: Callable, dataset: LabeledDataset,
                 )
             subset.extend(members[:n])
         subset.sort()
-        docs = [train_ds.documents[i].tokens for i in subset]
-        labels = [train_ds.documents[i].label for i in subset]
+        docs, labels = _docs_and_labels(train_ds, subset)
         model = trainer()
         model.fit(docs, labels)
         train_matrix = confusion_matrix(labels, model.predict(docs), dataset.classes)

@@ -33,7 +33,6 @@ __all__ = [
     "tfidf_features",
     "TfidfFeaturizer",
     "train_baseline",
-    "BaselineModel",
     "TfidfClassifier",
     "load_classifier",
     "fasttext_doc_loss_and_grads",
@@ -274,8 +273,7 @@ class ConvLstmNetwork:
         features.append(hidden[-1] if self.cfg.lstm_branch == "final" else hidden.max(axis=0))
         out = _finite(np.concatenate(features, axis=1) @ self.head_w.data + self.head_b.data)
         if not logits:
-            e = np.exp(out - out.max(axis=-1, keepdims=True))
-            out = e / e.sum(axis=-1, keepdims=True)
+            out = _softmax(out)
         return out[0] if single else out
 
     def shape_trace(self) -> dict:
@@ -376,7 +374,21 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-class ConvLstmClassifier(ParamsMixin):
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a score vector or matrix."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class _Classifier(ParamsMixin):
+    """An estimator over documents whose labels are the argmax of ``predict_proba``."""
+
+    def predict(self, docs) -> list:
+        probs = self.predict_proba(docs)
+        return [self.classes_[i] for i in np.argmax(probs, axis=1)]
+
+
+class ConvLstmClassifier(_Classifier):
     """Estimator facade: builds its own vocabulary and encodings in fit.
 
     ``embeddings`` may hold a trained EmbeddingModel; with
@@ -464,10 +476,6 @@ class ConvLstmClassifier(ParamsMixin):
     def predict_proba(self, docs) -> np.ndarray:
         return predict_proba(self.network_, self._encode(docs))
 
-    def predict(self, docs) -> list:
-        probs = self.predict_proba(docs)
-        return [self.classes_[i] for i in np.argmax(probs, axis=1)]
-
     def save(self, directory) -> None:
         _save(directory, "convlstm", self, self.vocab_.tokens, self.network_.all_arrays(),
               embedding_provenance=(
@@ -475,7 +483,7 @@ class ConvLstmClassifier(ParamsMixin):
                   if isinstance(self.embeddings, EmbeddingModel) else None))
 
     def _restore(self, tokens, arrays) -> None:
-        self.vocab_ = _vocabulary(tokens)
+        self.vocab_ = Vocabulary.from_tokens(tokens)
         self.config_ = self._make_config(self.n_classes or len(self.classes_))
         # checkpointed weights replace any init, so build the graph randomly
         # even if the original run started from pretrained vectors
@@ -596,11 +604,7 @@ class _LogisticRegressionGD(ParamsMixin):
         self.weights_ = np.zeros((d, c))
         self.bias_ = np.zeros(c)
         for _ in range(self.epochs):
-            logits = X @ self.weights_ + self.bias_
-            logits -= logits.max(axis=1, keepdims=True)
-            e = np.exp(logits)
-            probs = e / e.sum(axis=1, keepdims=True)
-            delta = (probs - target) / n
+            delta = (_softmax(X @ self.weights_ + self.bias_) - target) / n
             grad_w = X.T @ delta + self.l2 * self.weights_
             grad_b = delta.sum(axis=0)
             self.weights_ -= self.learning_rate * grad_w
@@ -608,10 +612,7 @@ class _LogisticRegressionGD(ParamsMixin):
         return self
 
     def predict_proba(self, X):
-        logits = X @ self.weights_ + self.bias_
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        return e / e.sum(axis=1, keepdims=True)
+        return _softmax(X @ self.weights_ + self.bias_)
 
 
 class _MultinomialNaiveBayes(ParamsMixin):
@@ -637,10 +638,7 @@ class _MultinomialNaiveBayes(ParamsMixin):
         return self
 
     def predict_proba(self, X):
-        joint = sp.csr_matrix(X) @ self.log_likelihood_.T + self.log_prior_
-        joint -= joint.max(axis=1, keepdims=True)
-        e = np.exp(joint)
-        return e / e.sum(axis=1, keepdims=True)
+        return _softmax(sp.csr_matrix(X) @ self.log_likelihood_.T + self.log_prior_)
 
 
 class _CosineKnn(ParamsMixin):
@@ -687,28 +685,15 @@ _FITTED = {"logreg": ("weights_", "bias_"),
            "knn": ("label_ids_",)}
 
 
-@dataclass
-class BaselineModel:
-    kind: str
-    model: object
-    feature_config: dict = field(default_factory=dict)
-
-    def predict_proba(self, X):
-        return self.model.predict_proba(X)
-
-    @property
-    def classes_(self):
-        return self.model.classes_
-
-
-def train_baseline(features, labels, kind: str, **kwargs) -> BaselineModel:
+def train_baseline(features, labels, kind: str, **kwargs):
+    """The baseline model of ``kind`` fitted on a feature matrix; it has
+    ``predict_proba`` and ``classes_``."""
     if kind not in _BASELINES:
         raise ValueError(f"unknown baseline kind {kind!r}; known: {sorted(_BASELINES)}")
-    model = _BASELINES[kind](**kwargs).fit(features, labels)
-    return BaselineModel(kind=kind, model=model)
+    return _BASELINES[kind](**kwargs).fit(features, labels)
 
 
-class TfidfClassifier(ParamsMixin):
+class TfidfClassifier(_Classifier):
     """TF-IDF features piped into one of the baseline models."""
 
     def __init__(self, kind="logreg", char_ngram_range=(2, 4), word_unigrams=True,
@@ -737,12 +722,8 @@ class TfidfClassifier(ParamsMixin):
     def predict_proba(self, docs):
         return self.baseline_.predict_proba(self.featurizer_.transform(list(docs)))
 
-    def predict(self, docs):
-        probs = self.predict_proba(docs)
-        return [self.classes_[i] for i in np.argmax(probs, axis=1)]
-
     def save(self, directory) -> None:
-        model = self.baseline_.model
+        model = self.baseline_
         arrays = {"idf": self.featurizer_.idf_}
         arrays.update((name, getattr(model, name)) for name in _FITTED[self.kind])
         if self.kind == "knn":
@@ -763,7 +744,7 @@ class TfidfClassifier(ParamsMixin):
                                          shape=(len(indptr) - 1, len(tokens)))
         for name in _FITTED[self.kind]:
             setattr(model, name, arrays[name])
-        self.baseline_ = BaselineModel(kind=self.kind, model=model)
+        self.baseline_ = model
 
 
 # -- averaged bag-of-features linear classifier ---------------------------
@@ -779,10 +760,7 @@ def fasttext_doc_loss_and_grads(feature_rows, projection, label_index):
     feature_rows = np.asarray(feature_rows)
     projection = np.asarray(projection)
     h = feature_rows.mean(axis=0)
-    logits = h @ projection
-    logits = logits - logits.max()
-    e = np.exp(logits)
-    probs = e / e.sum()
+    probs = _softmax(h @ projection)
     loss = -np.log(max(probs[label_index], 1e-12))
     dz = probs.copy()
     dz[label_index] -= 1.0
@@ -792,7 +770,7 @@ def fasttext_doc_loss_and_grads(feature_rows, projection, label_index):
     return float(loss), d_rows, d_projection
 
 
-class FastTextClassifier(ParamsMixin):
+class FastTextClassifier(_Classifier):
     """Linear classifier over averaged word and subword-bucket embeddings."""
 
     def __init__(self, dim=50, epochs=20, learning_rate=0.1, min_df=1,
@@ -869,23 +847,15 @@ class FastTextClassifier(ParamsMixin):
         out = np.zeros((len(docs), len(self.classes_)))
         for r, doc in enumerate(docs):
             ids = self._feature_ids(_tokens_of(doc))
-            h = self.lookup_[ids].mean(axis=0)
-            logits = h @ self.projection_
-            logits -= logits.max()
-            e = np.exp(logits)
-            out[r] = e / e.sum()
+            out[r] = _softmax(self.lookup_[ids].mean(axis=0) @ self.projection_)
         return out
-
-    def predict(self, docs) -> list:
-        probs = self.predict_proba(docs)
-        return [self.classes_[i] for i in np.argmax(probs, axis=1)]
 
     def save(self, directory) -> None:
         _save(directory, "fasttext", self, self.vocab_.tokens,
               {"lookup": self.lookup_, "projection": self.projection_})
 
     def _restore(self, tokens, arrays) -> None:
-        self.vocab_ = _vocabulary(tokens)
+        self.vocab_ = Vocabulary.from_tokens(tokens)
         self.lookup_, self.projection_ = arrays["lookup"], arrays["projection"]
 
 
@@ -910,12 +880,6 @@ def fasttext_linear_classifier(docs, vocab: Vocabulary, spec: TrainSpec,
 
 def _vocabulary_sha256(tokens) -> str:
     return hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
-
-
-def _vocabulary(tokens) -> Vocabulary:
-    """A saved vocabulary; its frequencies only preserve the id order."""
-    return Vocabulary(tokens, {t: len(tokens) - i for i, t in enumerate(tokens)},
-                      {t: 1 for t in tokens})
 
 
 def _save(directory, model_type: str, est, tokens, arrays: dict, **extra) -> None:

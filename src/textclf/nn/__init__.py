@@ -1,6 +1,6 @@
 """Minimal reverse-mode differentiable numeric core."""
 
-from .tensor import Tensor, ShapeError, concat, matmul, no_grad
+from .tensor import Tensor, ShapeError, concat, matmul
 from .layers import (
     conv1d,
     maxpool1d,
@@ -28,7 +28,6 @@ __all__ = [
     "ShapeError",
     "concat",
     "matmul",
-    "no_grad",
     "conv1d",
     "maxpool1d",
     "global_maxpool",

@@ -3,35 +3,16 @@
 A Tensor wraps a float32/float64 ndarray plus an optional gradient of the
 same shape.  Operations build a tape of parent links and backward
 closures; calling ``backward()`` on a scalar result accumulates gradients
-in deterministic topological order.  Inside ``no_grad()`` operations
-record no tape.  Any non-finite value produced by an operation raises
-immediately.
+in deterministic topological order; an operation none of whose inputs
+requires gradients records no tape.  Any non-finite value produced by an
+operation raises immediately.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-
 import numpy as np
 
-__all__ = ["Tensor", "ShapeError", "concat", "matmul", "stack", "no_grad"]
-
-_grad_enabled = contextvars.ContextVar("textclf_grad_enabled", default=True)
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Run operations without recording parents or backward closures.
-
-    Results inside the block never require gradients, so intermediate
-    buffers are freed as soon as the forward pass drops them.
-    """
-    token = _grad_enabled.set(False)
-    try:
-        yield
-    finally:
-        _grad_enabled.reset(token)
+__all__ = ["Tensor", "ShapeError", "concat", "matmul", "stack"]
 
 
 class ShapeError(ValueError):
@@ -85,15 +66,14 @@ class Tensor:
 
     @classmethod
     def _op(cls, data, parents, backward):
-        """Create a graph node; drops the tape when no parent needs grads
-        or inside ``no_grad()``."""
+        """Create a graph node; drops the tape when no parent needs grads."""
         out = cls.__new__(cls)
         arr = np.asarray(data)
         if not np.all(np.isfinite(arr)):
             raise FloatingPointError("operation produced non-finite values")
         out.data = arr
         out.grad = None
-        out.requires_grad = _grad_enabled.get() and any(p.requires_grad for p in parents)
+        out.requires_grad = any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward = backward

@@ -111,6 +111,22 @@ class TestEmbed:
         assert model.dim == 6
         assert len(model.vocab) > 0
 
+    def test_threads_config_key_rejected(self, corpus_file, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"threads": 2}), encoding="utf-8")
+        rc = run_command(["embed", "--input", str(corpus_file), "--output",
+                          str(tmp_path / "v.vec"), "--config", str(config)])
+        assert rc == 2
+        assert "threads" in capsys.readouterr().err
+
+    def test_one_token_corpus_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "one.tsv"
+        corpus.write_text("a\tsame same same\n", encoding="utf-8")
+        rc = run_command(["embed", "--input", str(corpus), "--output",
+                          str(tmp_path / "v.vec"), "--dim", "4", "--epochs", "1"])
+        assert rc == 2
+        assert "negative" in capsys.readouterr().err
+
 
 class TestTrainPredictEval:
     def test_train_fasttext_and_predict(self, corpus_file, tmp_path, capsys, monkeypatch):

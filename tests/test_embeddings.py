@@ -74,6 +74,22 @@ class TestNegativeSampler:
         for _ in range(50):
             assert 2 not in s.draw_excluding(2, 5)
 
+    def test_draw_excluding_never_returns_fewer_than_k(self):
+        s = NegativeSampler(np.array([0, 5]), seed=0)
+        with pytest.raises(ValueError, match="id 1"):
+            s.draw_excluding(1, 3)
+        assert len(s.draw_excluding(2, 3)) == 3
+        assert len(s.draw_excluding(1, 0)) == 0
+
+    def test_draw_excluding_stream_is_the_first_non_excluded_draw(self):
+        # each slot takes the first draw that is not the excluded id, so the
+        # same seed drawn without exclusion gives the sequence with 2s dropped
+        plain = NegativeSampler({1: 1, 2: 3, 3: 1}, seed=7).draw(200)
+        excluding = NegativeSampler({1: 1, 2: 3, 3: 1}, seed=7)
+        expected = plain[plain != 2]
+        got = np.concatenate([excluding.draw_excluding(2, 4) for _ in range(len(expected) // 4)])
+        np.testing.assert_array_equal(got, expected[: len(got)])
+
 
 class TestSgnsPairStep:
     def _model(self, dim=8, v=4):
@@ -171,14 +187,6 @@ class TestTrainSgns:
         vocab = build_vocabulary(docs, 1)
         model = train_sgns(docs, vocab, TrainSpec(dim=8, epochs=1, seed=0))
         np.testing.assert_array_equal(model.input_vectors[0], 0.0)
-
-    def test_threaded_mode_produces_usable_model(self, two_cluster_docs):
-        docs, cluster_a, _ = two_cluster_docs
-        vocab = build_vocabulary(docs, 1)
-        spec = TrainSpec(dim=8, epochs=1, negatives=2, seed=0)
-        model = train_sgns(docs, vocab, spec, threads=2)
-        assert np.all(np.isfinite(model.input_vectors))
-        assert np.linalg.norm(vector(model, cluster_a[0])) > 0
 
 
 class TestCooccurrence:

@@ -254,11 +254,6 @@ class TestFusedRecurrentBranch:
         ids = np.random.default_rng(4).integers(0, 12, size=(4, 8))
         taped = net.forward(ids)
         assert taped.requires_grad and taped._parents
-        with nn.no_grad():
-            untaped = net.forward(ids)
-        assert not untaped.requires_grad
-        assert untaped._parents == () and untaped._backward is None
-        np.testing.assert_array_equal(untaped.data, taped.data)
         np.testing.assert_array_equal(predict_proba(net, ids), net.infer(ids))
         np.testing.assert_allclose(net.infer(ids), taped.data, rtol=0, atol=1e-6)
 
@@ -325,8 +320,7 @@ class TestInfer:
 
     @staticmethod
     def _taped(net, ids, logits=False):
-        with nn.no_grad():
-            return net.forward(ids, logits=logits).data
+        return net.forward(ids, logits=logits).data
 
     @pytest.mark.parametrize("branch", ["final", "temporal_max"])
     @pytest.mark.parametrize("peephole", [False, True])

@@ -275,22 +275,6 @@ class TestFusedLstm:
             nn.lstm_forward(Tensor(np.zeros((4, 2))), params)
 
 
-class TestNoGrad:
-    def test_no_tape_inside(self):
-        w = Tensor(np.ones((2, 2)), requires_grad=True)
-        with nn.no_grad():
-            out = (Tensor(np.ones((3, 2))) @ w).sum()
-        assert not out.requires_grad and out._parents == () and out._backward is None
-        assert (Tensor(np.ones((3, 2))) @ w).sum().requires_grad
-
-    def test_restored_after_error(self):
-        w = Tensor(np.ones(2), requires_grad=True)
-        with pytest.raises(RuntimeError):
-            with nn.no_grad():
-                raise RuntimeError("boom")
-        assert (w * 2.0).requires_grad
-
-
 class TestDropoutNoise:
     def test_eval_mode_identity(self):
         x = Tensor(np.ones((4, 4)))
