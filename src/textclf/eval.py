@@ -211,7 +211,9 @@ class EvalReport:
 
 
 def _score_split(model, docs, labels, classes) -> dict:
-    pred = model.predict(docs)
+    """Metrics and class distributions ``probs`` from one ``predict_proba`` call."""
+    probs = np.asarray(model.predict_proba(docs))
+    pred = [model.classes_[i] for i in np.argmax(probs, axis=1)]
     matrix = confusion_matrix(labels, pred, classes)
     p, r, f1, per_class = macro_prf(matrix)
     out = {
@@ -220,13 +222,13 @@ def _score_split(model, docs, labels, classes) -> dict:
         "macro_f1": f1,
         "matrix": matrix,
         "per_class": per_class,
+        "probs": probs,
     }
     if len(classes) == 2:
         out["mcc"] = mcc(matrix)
-        probs = np.asarray(model.predict_proba(docs))[:, 1]
         binary = np.array([1 if l == classes[1] else 0 for l in labels])
         if len(set(binary.tolist())) == 2:
-            _, auc_value = roc_auc(probs, binary)
+            _, auc_value = roc_auc(probs[:, 1], binary)
             out["auc"] = auc_value
     return out
 
@@ -266,7 +268,7 @@ def cross_validate(trainer: Callable, dataset: LabeledDataset, k: int = 5,
     """Stratified hold-out plus k-fold cross-validation on the remainder.
 
     ``trainer`` is a zero-argument factory returning a fresh estimator
-    with fit/predict/predict_proba over token documents.  Twenty percent
+    with fit/predict_proba/classes_ over token documents.  Twenty percent
     (by default) is held out with per-class proportions preserved; the
     remaining training portion is cross-validated so every document is
     validated exactly once; the final model is refit on the whole training
@@ -309,24 +311,20 @@ def cross_validate(trainer: Callable, dataset: LabeledDataset, k: int = 5,
         fold_assignment=[int(f) for f in assignment.folds],
     )
 
-    probs = np.asarray(final.predict_proba(test_docs))
+    probs = holdout["probs"]
     if len(dataset.classes) == 2:
         _binary_curves(report, probs[:, 1], gold, dataset.classes[1])
     else:
         per_class_roc = {}
-        aucs = []
         for ci, cls in enumerate(dataset.classes):
             binary = np.array([1 if l == cls else 0 for l in gold])
             if len(set(binary.tolist())) != 2:
                 continue
             curve, auc_value = roc_auc(probs[:, ci], binary)
             per_class_roc[cls] = {"points": [list(p) for p in curve.points], "auc": auc_value}
-            aucs.append(auc_value)
         if per_class_roc:
-            report.roc = {
-                "per_class": per_class_roc,
-                "macro_auc": float(np.mean(aucs)),
-            }
+            aucs = [roc["auc"] for roc in per_class_roc.values()]
+            report.roc = {"per_class": per_class_roc, "macro_auc": float(np.mean(aucs))}
     return report
 
 

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .base import ConfigurationError, ParamsMixin, check_random_state, derive_seed
 from .corpus import Vocabulary, build_vocabulary, encode_document
@@ -510,11 +509,26 @@ def _as_doc(doc):
 # -- TF-IDF features and baselines -------------------------------------------
 
 
+def _sparse():
+    """``scipy.sparse``, imported on first use: only the TF-IDF models need it."""
+    import scipy.sparse
+
+    return scipy.sparse
+
+
+def _unit_rows(X):
+    """``X`` as CSR with every nonzero row scaled to unit L2 norm."""
+    sp = _sparse()
+    X = sp.csr_matrix(X)
+    norms = np.sqrt(X.multiply(X).sum(axis=1)).A.ravel()
+    return sp.diags(1.0 / np.where(norms == 0.0, 1.0, norms)) @ X
+
+
 class TfidfFeaturizer(ParamsMixin):
     """Character n-gram and word unigram counts with smoothed idf weighting.
 
-    idf = ln((1 + N) / (1 + df)) + 1; rows are L2-normalized; the feature
-    index is the sorted list of feature strings, so it is deterministic.
+    idf = ln((1 + N) / (1 + df)) + 1; ``transform`` gives L2-normalized rows as
+    a scipy CSR matrix; the feature index is the sorted feature strings.
     """
 
     def __init__(self, char_ngram_range=(2, 4), word_unigrams=True):
@@ -554,7 +568,7 @@ class TfidfFeaturizer(ParamsMixin):
         )
         return self
 
-    def transform(self, docs) -> sp.csr_matrix:
+    def transform(self, docs):
         docs = list(docs)
         rows, cols, vals = [], [], []
         for r, doc in enumerate(docs):
@@ -565,20 +579,15 @@ class TfidfFeaturizer(ParamsMixin):
                     rows.append(r)
                     cols.append(c)
                     vals.append(count * self.idf_[c])
-        matrix = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(len(docs), len(self.feature_names_))
-        )
-        norms = np.sqrt(matrix.multiply(matrix).sum(axis=1)).A.ravel()
-        norms[norms == 0.0] = 1.0
-        inv = sp.diags(1.0 / norms)
-        return inv @ matrix
+        return _unit_rows(_sparse().csr_matrix(
+            (vals, (rows, cols)), shape=(len(docs), len(self.feature_names_))))
 
     def fit_transform(self, docs, y=None):
         self.fit(docs)
         return self.transform(docs)
 
 
-def tfidf_features(docs, char_ngram_range=(2, 4), word_unigrams=True) -> sp.csr_matrix:
+def tfidf_features(docs, char_ngram_range=(2, 4), word_unigrams=True):
     return TfidfFeaturizer(char_ngram_range, word_unigrams).fit_transform(list(docs))
 
 
@@ -627,7 +636,7 @@ class _MultinomialNaiveBayes(ParamsMixin):
         if len(self.classes_) < 2:
             raise ValueError("naive Bayes needs at least two classes")
         n, d = X.shape
-        X = sp.csr_matrix(X)
+        X = _sparse().csr_matrix(X)
         self.log_prior_ = np.zeros(len(self.classes_))
         self.log_likelihood_ = np.zeros((len(self.classes_), d))
         for ci, cls in enumerate(self.classes_):
@@ -638,7 +647,7 @@ class _MultinomialNaiveBayes(ParamsMixin):
         return self
 
     def predict_proba(self, X):
-        return _softmax(sp.csr_matrix(X) @ self.log_likelihood_.T + self.log_prior_)
+        return _softmax(_sparse().csr_matrix(X) @ self.log_likelihood_.T + self.log_prior_)
 
 
 class _CosineKnn(ParamsMixin):
@@ -649,22 +658,15 @@ class _CosineKnn(ParamsMixin):
         self.k = k
 
     def fit(self, X, y):
-        X = sp.csr_matrix(X)
-        norms = np.sqrt(X.multiply(X).sum(axis=1)).A.ravel()
-        norms[norms == 0.0] = 1.0
-        self.train_ = sp.diags(1.0 / norms) @ X
+        self.train_ = _unit_rows(X)
         classes, self.label_ids_ = np.unique(np.asarray(y), return_inverse=True)
         self.classes_ = classes.tolist()
         return self
 
     def predict_proba(self, X):
-        X = sp.csr_matrix(X)
-        norms = np.sqrt(X.multiply(X).sum(axis=1)).A.ravel()
-        norms[norms == 0.0] = 1.0
-        Xn = sp.diags(1.0 / norms) @ X
-        sims = (Xn @ self.train_.T).toarray()
+        sims = (_unit_rows(X) @ self.train_.T).toarray()
         k = min(self.k, sims.shape[1])
-        out = np.zeros((X.shape[0], len(self.classes_)))
+        out = np.zeros((sims.shape[0], len(self.classes_)))
         for r in range(sims.shape[0]):
             # stable sort keeps the earliest instance on ties
             order = np.argsort(-sims[r], kind="stable")[:k]
@@ -740,8 +742,8 @@ class TfidfClassifier(_Classifier):
         model.classes_ = self.classes_
         if self.kind == "knn":
             indptr = arrays["indptr"]
-            model.train_ = sp.csr_matrix((arrays["data"], arrays["indices"], indptr),
-                                         shape=(len(indptr) - 1, len(tokens)))
+            model.train_ = _sparse().csr_matrix((arrays["data"], arrays["indices"], indptr),
+                                                shape=(len(indptr) - 1, len(tokens)))
         for name in _FITTED[self.kind]:
             setattr(model, name, arrays[name])
         self.baseline_ = model

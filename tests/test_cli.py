@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import textclf
 from textclf.cli import run_command, write_report
 from textclf.corpus import generate_synthetic_corpus
 from textclf.eval import EvalReport
@@ -354,6 +359,71 @@ class TestDeterminism:
             a = (tmp_path / "r1" / name).read_bytes()
             b = (tmp_path / "r2" / name).read_bytes()
             assert a == b, name
+
+
+# Runs CLI steps in a fresh interpreter.  argv[1] is a JSON list of
+# (argv, stdin text) steps; the last stderr line is a JSON list telling whether
+# scipy was imported after `import textclf.cli` and after each step.
+_CHILD = """
+import io, json, sys
+import textclf, textclf.cli
+loaded = ["scipy" in sys.modules]
+for argv, stdin in json.loads(sys.argv[1]):
+    sys.stdin = io.StringIO(stdin)
+    if textclf.cli.run_command(argv) != 0:
+        sys.exit(3)
+    loaded.append("scipy" in sys.modules)
+sys.stderr.write(json.dumps(loaded) + "\\n")
+"""
+
+
+def _cli_child(steps):
+    src = str(Path(textclf.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(steps)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+
+class TestColdStart:
+    """scipy.sparse is imported only when a TF-IDF model is built or loaded.
+    The checks run in child interpreters: this process has imported scipy."""
+
+    def test_fasttext_chain_never_imports_scipy(self, corpus_file, tmp_path):
+        outdir = tmp_path / "run"
+        docs = "alpha beta\ngamma\n"
+        out, loaded = _cli_child([
+            (["train", "--input", str(corpus_file), "--output-dir", str(outdir),
+              "--model", "fasttext", "--epochs", "2", "--seed", "1"], ""),
+            (["predict", "--model-dir", str(outdir / "model")], docs),
+        ])
+        assert loaded == [False, False, False]
+        assert len(out.splitlines()) == 2
+
+    def test_knn_imports_scipy_and_predicts_cold(self, corpus_file, tmp_path, capsys,
+                                                 monkeypatch):
+        outdir = tmp_path / "run"
+        _, loaded = _cli_child([
+            (["train", "--input", str(corpus_file), "--output-dir", str(outdir),
+              "--model", "knn", "--seed", "1"], ""),
+        ])
+        assert loaded == [False, True]
+        lines = [line.split("\t")[1] + "\n"
+                 for line in corpus_file.read_text(encoding="utf-8").splitlines()[:7]]
+        out, loaded = _cli_child([
+            (["predict", "--model-dir", str(outdir / "model")], "".join(lines)),
+        ])
+        assert loaded == [False, True]
+        monkeypatch.setattr("sys.stdin", _FakeStdin(lines))
+        assert run_command(["predict", "--model-dir", str(outdir / "model")]) == 0
+        assert out == capsys.readouterr().out
+        from textclf.model import load_classifier
+
+        model = load_classifier(outdir / "model")
+        labels = model.predict([tuple(line.split()) for line in lines])
+        assert [row.split("\t")[0] for row in out.splitlines()] == labels
 
 
 class _FakeStdin:

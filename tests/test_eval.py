@@ -263,18 +263,37 @@ class TestCrossValidate:
                 seen["train"].append({tuple(d) for d in docs})
                 return super().fit(docs, labels, valid)
 
-            def predict(self, docs):
+            def predict_proba(self, docs):
                 seen["valid"].append({tuple(d) for d in docs})
-                return super().predict(docs)
+                return super().predict_proba(docs)
 
         ds = _easy_dataset(15)
         cross_validate(lambda: Spy(dim=8, epochs=2, seed=0), ds, k=3, seed=0)
-        # the last fit is the final refit; pair the first k fits with predicts
+        # the last fit is the final refit; pair the first k fits with scored splits
         for fit_docs, val_docs in zip(seen["train"][:3], seen["valid"][:3]):
             assert not fit_docs & val_docs
         holdout_docs = seen["valid"][-1]
         for fit_docs in seen["train"][:3]:
             assert not holdout_docs & fit_docs
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_one_inference_pass_per_split(self, classes):
+        # each fold and the hold-out run predict_proba once; labels are its argmax
+        calls = []
+
+        class Counting(FastTextClassifier):
+            def predict(self, docs):
+                raise AssertionError("labels come from the predict_proba pass")
+
+            def predict_proba(self, docs):
+                calls.append(len(docs))
+                return super().predict_proba(docs)
+
+        ds = _easy_dataset(15, classes=classes)
+        report = cross_validate(lambda: Counting(dim=8, epochs=2, seed=0), ds, k=3, seed=0)
+        assert len(calls) == 3 + 1
+        assert sum(calls) == len(ds.documents)
+        assert sum(sum(row) for row in report.confusion) == calls[-1]
 
     def test_report_roundtrip(self, tmp_path):
         ds = _easy_dataset(20)
