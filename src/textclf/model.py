@@ -311,6 +311,8 @@ def train_network(net: ConvLstmNetwork, train_data, valid_data=None, epochs: int
     labels = np.asarray(labels, dtype=np.int64)
     if len(ids) == 0:
         raise ValueError("training set is empty")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     history = TrainHistory()
     if epochs == 0:
         return history
@@ -552,16 +554,18 @@ class TfidfFeaturizer(ParamsMixin):
         return counts
 
     def fit(self, docs, y=None):
-        docs = list(docs)
-        if not docs:
+        return self._fit_counts([self._doc_features(doc) for doc in docs])
+
+    def _fit_counts(self, counts):
+        if not counts:
             raise ValueError("cannot fit on an empty corpus")
         df: dict[str, int] = {}
-        for doc in docs:
-            for feature in self._doc_features(doc):
+        for doc_counts in counts:
+            for feature in doc_counts:
                 df[feature] = df.get(feature, 0) + 1
         self.feature_names_ = sorted(df)
         self.feature_index_ = {f: i for i, f in enumerate(self.feature_names_)}
-        n = len(docs)
+        n = len(counts)
         self.idf_ = np.array(
             [np.log((1.0 + n) / (1.0 + df[f])) + 1.0 for f in self.feature_names_],
             dtype=np.float64,
@@ -569,22 +573,22 @@ class TfidfFeaturizer(ParamsMixin):
         return self
 
     def transform(self, docs):
-        docs = list(docs)
-        rows, cols, vals = [], [], []
-        for r, doc in enumerate(docs):
-            counts = self._doc_features(doc)
-            for feature, count in counts.items():
-                c = self.feature_index_.get(feature)
-                if c is not None:
-                    rows.append(r)
-                    cols.append(c)
-                    vals.append(count * self.idf_[c])
+        return self._matrix([self._doc_features(doc) for doc in docs])
+
+    def _matrix(self, counts):
+        index = self.feature_index_
+        cols = np.array([index.get(f, -1) for c in counts for f in c], dtype=np.int64)
+        tf = np.array([v for c in counts for v in c.values()], dtype=np.float64)
+        rows = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
+        known = cols >= 0
+        cols = cols[known]
         return _unit_rows(_sparse().csr_matrix(
-            (vals, (rows, cols)), shape=(len(docs), len(self.feature_names_))))
+            (tf[known] * self.idf_[cols], (rows[known], cols)),
+            shape=(len(counts), len(self.feature_names_))))
 
     def fit_transform(self, docs, y=None):
-        self.fit(docs)
-        return self.transform(docs)
+        counts = [self._doc_features(doc) for doc in docs]
+        return self._fit_counts(counts)._matrix(counts)
 
 
 def tfidf_features(docs, char_ngram_range=(2, 4), word_unigrams=True):
@@ -772,6 +776,14 @@ def fasttext_doc_loss_and_grads(feature_rows, projection, label_index):
     return float(loss), d_rows, d_projection
 
 
+def _by_occurrence(ids):
+    """Distinct ids, most frequent first, and for each j >= 1 how many of them
+    occur at least j times: those are a prefix of that order."""
+    rows, counts = np.unique(ids, return_counts=True)
+    ends = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
+    return rows[np.argsort(-counts, kind="stable")], ends.tolist()
+
+
 class FastTextClassifier(_Classifier):
     """Linear classifier over averaged word and subword-bucket embeddings."""
 
@@ -788,20 +800,20 @@ class FastTextClassifier(_Classifier):
         self.seed = seed
 
     def _feature_ids(self, tokens) -> np.ndarray:
+        """Word row, then subword bucket rows, of each token (cached); [0] if none."""
         ids = []
         offset = len(self.vocab_) + 1
         for token in tokens:
-            wid = self.vocab_.token_to_id.get(token)
-            if wid is not None:
-                ids.append(wid)
-            if self.use_subword:
-                ids.extend(
-                    offset + b
-                    for b in subword_ngrams(token, self.nmin, self.nmax, self.bucket_count)
-                )
-        if not ids:
-            ids = [0]
-        return np.array(ids, dtype=np.int64)
+            rows = self._token_rows.get(token)
+            if rows is None:
+                wid = self.vocab_.token_to_id.get(token)
+                rows = [] if wid is None else [wid]
+                if self.use_subword:
+                    rows += [offset + b for b in
+                             subword_ngrams(token, self.nmin, self.nmax, self.bucket_count)]
+                self._token_rows[token] = rows
+            ids.extend(rows)
+        return np.array(ids or [0], dtype=np.int64)
 
     def fit(self, docs, labels, valid=None, vocab: Optional[Vocabulary] = None):
         """Fit on ``docs``; ``vocab`` replaces the vocabulary built from them."""
@@ -809,10 +821,18 @@ class FastTextClassifier(_Classifier):
         labels = list(labels)
         if not docs:
             raise ValueError("training set is empty")
+        if self.dim < 1 or self.epochs < 0:
+            raise ValueError(f"need dim >= 1 and epochs >= 0, got {self.dim}, {self.epochs}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if (self.use_subword and self.bucket_count < 1) or not 1 <= self.nmin <= self.nmax:
+            raise ValueError("need bucket_count >= 1 and 1 <= nmin <= nmax, got "
+                             f"{self.bucket_count} and {self.nmin}..{self.nmax}")
         self.classes_ = sorted(set(labels))
         self.vocab_ = vocab if vocab is not None else build_vocabulary(
             [_as_doc(d) for d in docs], min_df=self.min_df
         )
+        self._token_rows = {}
         rng = check_random_state(self.seed)
         n_rows = len(self.vocab_) + 1 + (self.bucket_count if self.use_subword else 0)
         self.lookup_ = rng.uniform(-1.0 / self.dim, 1.0 / self.dim,
@@ -822,6 +842,7 @@ class FastTextClassifier(_Classifier):
         acc_lookup = np.full_like(self.lookup_, 1e-8)
         acc_proj = np.full_like(self.projection_, 1e-8)
         encoded = [self._feature_ids(_tokens_of(d)) for d in docs]
+        ranked = [_by_occurrence(ids) for ids in encoded]
         y = np.array([self.classes_.index(l) for l in labels])
         order_rng = check_random_state(derive_seed(self.seed, "order"))
         lr = self.learning_rate
@@ -837,10 +858,14 @@ class FastTextClassifier(_Classifier):
                 total += loss
                 acc_proj += d_proj * d_proj
                 self.projection_ -= lr * d_proj / np.sqrt(acc_proj)
-                sq = d_rows[0] * d_rows[0]
-                for row in ids:
-                    acc_lookup[row] += sq
-                    self.lookup_[row] -= lr * d_rows[0] / np.sqrt(acc_lookup[row])
+                # Adagrad per occurrence of a row, all rows' j-th occurrences at once
+                rows, ends = ranked[i]
+                step, sq = lr * d_rows[0], d_rows[0] * d_rows[0]
+                acc, lookup = acc_lookup[rows], self.lookup_[rows]
+                for n in ends:
+                    acc[:n] += sq
+                    lookup[:n] -= step / np.sqrt(acc[:n])
+                acc_lookup[rows], self.lookup_[rows] = acc, lookup
             self.epoch_losses_.append(total / len(docs))
         return self
 
@@ -858,6 +883,7 @@ class FastTextClassifier(_Classifier):
 
     def _restore(self, tokens, arrays) -> None:
         self.vocab_ = Vocabulary.from_tokens(tokens)
+        self._token_rows = {}
         self.lookup_, self.projection_ = arrays["lookup"], arrays["projection"]
 
 

@@ -137,3 +137,57 @@ def brute_cosine_ranking(query, table, names):
         rows.append((name, float(query @ row / (qn * rn))))
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows
+
+
+def brute_fasttext_fit(docs, labels, vocab, *, dim, epochs, learning_rate, nmin, nmax,
+                       bucket_count, use_subword, seed, **_):
+    """``FastTextClassifier.fit`` with one Adagrad update per feature occurrence.
+
+    Takes the classifier's ``get_params()`` and the fitted vocabulary;
+    returns (lookup, projection, epoch_losses).
+    """
+    from textclf.base import check_random_state, derive_seed
+    from textclf.embeddings import subword_ngrams
+    from textclf.model import fasttext_doc_loss_and_grads
+
+    def feature_ids(tokens):
+        ids = []
+        offset = len(vocab) + 1
+        for token in tokens:
+            wid = vocab.token_to_id.get(token)
+            if wid is not None:
+                ids.append(wid)
+            if use_subword:
+                ids.extend(offset + b for b in subword_ngrams(token, nmin, nmax, bucket_count))
+        if not ids:
+            ids = [0]
+        return np.array(ids, dtype=np.int64)
+
+    classes = sorted(set(labels))
+    rng = check_random_state(seed)
+    n_rows = len(vocab) + 1 + (bucket_count if use_subword else 0)
+    lookup = rng.uniform(-1.0 / dim, 1.0 / dim, size=(n_rows, dim)).astype(np.float64)
+    lookup[0] = 0.0
+    projection = np.zeros((dim, len(classes)), dtype=np.float64)
+    acc_lookup = np.full_like(lookup, 1e-8)
+    acc_proj = np.full_like(projection, 1e-8)
+    encoded = [feature_ids(d) for d in docs]
+    y = np.array([classes.index(l) for l in labels])
+    order_rng = check_random_state(derive_seed(seed, "order"))
+    lr = learning_rate
+    epoch_losses = []
+    for _ in range(epochs):
+        order = order_rng.permutation(len(docs))
+        total = 0.0
+        for i in order:
+            ids = encoded[i]
+            loss, d_rows, d_proj = fasttext_doc_loss_and_grads(lookup[ids], projection, y[i])
+            total += loss
+            acc_proj += d_proj * d_proj
+            projection -= lr * d_proj / np.sqrt(acc_proj)
+            sq = d_rows[0] * d_rows[0]
+            for row in ids:
+                acc_lookup[row] += sq
+                lookup[row] -= lr * d_rows[0] / np.sqrt(acc_lookup[row])
+        epoch_losses.append(total / len(docs))
+    return lookup, projection, epoch_losses

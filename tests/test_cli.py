@@ -259,6 +259,20 @@ class TestTrainPredictEval:
                           "--output-dir", str(tmp_path / "r"), "--model", "fasttext"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--model", "fasttext", "--emb-dim", "0"], "dim"),
+        (["--model", "fasttext", "--epochs", "-1"], "epochs"),
+        (["--model", "convlstm", "--epochs", "-1"], "epochs"),
+    ])
+    def test_bad_training_hyperparameter_is_data_error(self, corpus_file, tmp_path, capsys,
+                                                       flags, message):
+        outdir = tmp_path / "r"
+        rc = run_command(["train", "--input", str(corpus_file), "--output-dir", str(outdir),
+                          *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (outdir / "model").exists()
+
     def test_eval_happy_path(self, tmp_path):
         gold = tmp_path / "gold.tsv"
         gold.write_text("A\tx\nA\ty\nB\tz\n", encoding="utf-8")

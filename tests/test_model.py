@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from textclf.base import ConfigurationError
 from textclf.corpus import build_vocabulary, generate_synthetic_corpus
 from textclf.embeddings import TrainSpec, train_sgns
@@ -170,6 +171,10 @@ class TestTrainNetwork:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
             train_network(self._tiny(), (np.zeros((0, 8), dtype=int), np.zeros(0, dtype=int)))
+
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epochs"):
+            train_network(self._tiny(), self._data(), epochs=-1)
 
     def test_pad_row_frozen(self):
         net = self._tiny()
@@ -588,6 +593,81 @@ class TestFastTextClassifier:
         loaded = load_classifier(tmp_path / "ft")
         np.testing.assert_array_equal(loaded.predict_proba(docs[:4]), clf.predict_proba(docs[:4]))
         assert_reordered_vocabulary_rejected(tmp_path / "ft")
+
+    @staticmethod
+    def _repetitive(small_corpus):
+        # one token 30 times; two rows at different counts; two singletons that
+        # min_df=2 drops, so without subwords that doc has no known feature
+        docs, labels, _ = small_corpus
+        a, b, c = docs[0][0], docs[1][1], docs[-1][2]
+        extra = [(a,) * 30, (b,) * 7 + (c,) * 3 + (a,), ("qqone", "qqtwo"), (c, b) * 4]
+        return list(docs) + extra, list(labels) + [labels[0], labels[1], labels[-1], labels[-1]]
+
+    @pytest.mark.parametrize("params, given_vocab", [
+        ({"bucket_count": 16}, False),
+        ({"bucket_count": 1024, "nmin": 2, "nmax": 4}, True),
+        ({"use_subword": False, "min_df": 2}, False),
+        ({"use_subword": False}, True),
+    ])
+    def test_fit_equals_per_row_updates(self, small_corpus, params, given_vocab):
+        docs, labels = self._repetitive(small_corpus)
+        vocab = build_vocabulary(docs_from(docs[::3]), 1) if given_vocab else None
+        clf = FastTextClassifier(dim=6, epochs=4, learning_rate=0.3, seed=3, **params)
+        clf.fit(docs, labels, vocab=vocab)
+        if params.get("min_df") == 2:
+            np.testing.assert_array_equal(clf._feature_ids(("qqone", "qqtwo")), [0])
+        lookup, projection, losses = oracles.brute_fasttext_fit(docs, labels, clf.vocab_,
+                                                                **clf.get_params())
+        np.testing.assert_array_equal(clf.lookup_, lookup)
+        np.testing.assert_array_equal(clf.projection_, projection)
+        np.testing.assert_array_equal(clf.epoch_losses_, losses)
+
+    @pytest.mark.parametrize("change, given_vocab", [
+        ({"bucket_count": 32}, False),
+        ({"nmin": 2, "nmax": 3}, False),
+        ({"use_subword": False}, False),
+        ({}, True),
+    ])
+    def test_refit_matches_fresh_instance(self, small_corpus, change, given_vocab):
+        docs, labels = self._repetitive(small_corpus)
+        queries = docs + [("qqnew", "qqthree")]
+        clf = FastTextClassifier(dim=6, epochs=2, bucket_count=64, seed=1).fit(docs, labels)
+        clf.predict_proba(queries)
+        vocab = build_vocabulary(docs_from(docs[::2]), 1) if given_vocab else None
+        clf.set_params(**change).fit(docs, labels, vocab=vocab)
+        fresh = FastTextClassifier(**clf.get_params()).fit(docs, labels, vocab=vocab)
+        np.testing.assert_array_equal(clf.lookup_, fresh.lookup_)
+        np.testing.assert_array_equal(clf.projection_, fresh.projection_)
+        np.testing.assert_array_equal(clf.predict_proba(queries), fresh.predict_proba(queries))
+
+    def test_saved_params_are_the_constructor_params(self, small_corpus, tmp_path):
+        docs, labels, _ = small_corpus
+        clf = FastTextClassifier(dim=4, epochs=1, seed=0).fit(docs, labels)
+        clf.predict_proba(docs)
+        assert set(clf.get_params()) == set(FastTextClassifier._param_names())
+        clf.save(tmp_path / "ft")
+        sidecar = json.loads((tmp_path / "ft" / "model.json").read_text(encoding="utf-8"))
+        assert set(sidecar["params"]) == set(FastTextClassifier._param_names())
+
+    @pytest.mark.parametrize("params, message", [
+        ({"dim": 0}, "dim"),
+        ({"epochs": -1}, "epochs"),
+        ({"learning_rate": -0.1}, "learning_rate"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"bucket_count": 0}, "bucket_count"),
+        ({"nmin": 5, "nmax": 2}, "nmin"),
+        ({"nmin": 0}, "nmin"),
+    ])
+    def test_bad_hyperparameters_rejected(self, small_corpus, params, message):
+        docs, labels, _ = small_corpus
+        with pytest.raises(ValueError, match=message):
+            FastTextClassifier(**params).fit(docs, labels)
+
+    def test_bucket_count_unused_without_subwords(self, small_corpus):
+        docs, labels, _ = small_corpus
+        clf = FastTextClassifier(dim=4, epochs=1, bucket_count=0, use_subword=False)
+        assert clf.fit(docs, labels).lookup_.shape == (len(clf.vocab_) + 1, 4)
 
 
 class TestEnsemble:
