@@ -333,7 +333,7 @@ def _cmd_train(args) -> int:
     artifacts = []
     seeds = {"seed": config["seed"]}
 
-    if config["cv"]:
+    if config["cv"] is not None:
         report = cross_validate(
             trainer, dataset, k=config["cv"], seed=config["seed"],
             config_echo={k: v for k, v in config.items() if k != "cv"},

@@ -311,8 +311,10 @@ def train_network(net: ConvLstmNetwork, train_data, valid_data=None, epochs: int
     labels = np.asarray(labels, dtype=np.int64)
     if len(ids) == 0:
         raise ValueError("training set is empty")
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if epochs < 0 or batch_size < 1:
+        raise ValueError(f"need epochs >= 0 and batch_size >= 1, got {epochs}, {batch_size}")
+    if not (np.isfinite(learning_rate) and learning_rate >= 0):
+        raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
     history = TrainHistory()
     if epochs == 0:
         return history
@@ -320,10 +322,10 @@ def train_network(net: ConvLstmNetwork, train_data, valid_data=None, epochs: int
     optimizer = optimizer(net.parameters(), learning_rate=learning_rate)
     shuffle_rng = check_random_state(derive_seed(seed, "shuffle"))
     layer_rng = check_random_state(derive_seed(seed, "layers"))
+    n_batches = -(-len(ids) // batch_size)
     for _ in range(epochs):
         order = shuffle_rng.permutation(len(ids))
         epoch_loss = 0.0
-        n_batches = 0
         for lo in range(0, len(ids), batch_size):
             batch = order[lo : lo + batch_size]
             optimizer.zero_grad()
@@ -336,7 +338,6 @@ def train_network(net: ConvLstmNetwork, train_data, valid_data=None, epochs: int
             optimizer.step()
             epoch_loss += float(loss.data)
             del scores, loss  # free this batch's tape before the next forward builds one
-            n_batches += 1
         history.train_loss.append(epoch_loss / n_batches)
         if valid_data is not None:
             v_loss, v_f1 = _evaluate(net, valid_data)
@@ -772,8 +773,7 @@ def fasttext_doc_loss_and_grads(feature_rows, projection, label_index):
     dz[label_index] -= 1.0
     d_projection = np.outer(h, dz)
     dh = projection @ dz
-    d_rows = np.repeat((dh / feature_rows.shape[0])[None, :], feature_rows.shape[0], axis=0)
-    return float(loss), d_rows, d_projection
+    return float(loss), np.broadcast_to(dh / feature_rows.shape[0], feature_rows.shape), d_projection
 
 
 def _by_occurrence(ids):

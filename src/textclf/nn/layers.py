@@ -40,35 +40,51 @@ def _batched(x: Tensor) -> tuple[np.ndarray, bool]:
     raise ShapeError(f"expected (L,C) or (B,L,C), got {x.data.shape}")
 
 
-def _im2col(x: np.ndarray, width: int) -> np.ndarray:
-    """Same-padded windows: (N, L, C) -> (N, L, width*C).
-
-    Zero padding is split (width-1)//2 left, remainder right.  Width 1 is
-    the dense case and returns ``x`` itself.
-    """
-    if width == 1:
-        return x
-    n, length, channels = x.shape
+def _pad(x: np.ndarray, width: int) -> np.ndarray:
+    """Same padding of (N, L, C) along L: (width-1)//2 zero rows on the left,
+    the rest on the right.  Width 1 returns ``x`` itself."""
     left = (width - 1) // 2
-    xp = np.pad(x, ((0, 0), (left, width - 1 - left), (0, 0)))
-    s0, s1, s2 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, length, width, channels), strides=(s0, s1, s1, s2)
-    )
-    return windows.reshape(n, length, width * channels).copy()
+    return x if width == 1 else np.pad(x, ((0, 0), (left, width - 1 - left), (0, 0)))
 
 
-def _col2im(dcols: np.ndarray, width: int) -> np.ndarray:
-    """Adjoint of ``_im2col``: (N, L, width*C) -> (N, L, C)."""
-    if width == 1:
-        return dcols
-    n, length, wc = dcols.shape
-    left = (width - 1) // 2
-    d = dcols.reshape(n, length, width, wc // width)
-    dxp = np.zeros((n, length + width - 1, wc // width), dtype=dcols.dtype)
-    for k in range(width):
-        dxp[:, k : k + length, :] += d[:, :, k, :]
-    return dxp[:, left : left + length, :]
+def _tap_conv(x: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Same-padded convolution without a tape: x (N, L, C) by kernels w
+    (K, C, F) into a contiguous ``out`` or a new (N, L, F).  One GEMM of the
+    padded input against the kernels laid out as (C, K*F); output row l sums
+    tap k of padded row l + k.  Width 1, the dense case, is the GEMM alone."""
+    N, L, C = x.shape
+    K, _, F = w.shape
+    if K == 1:
+        flat = None if out is None else out.reshape(N * L, F)
+        return np.matmul(x.reshape(N * L, C), w[0], out=flat).reshape(N, L, F)
+    taps = _pad(x, K).reshape(-1, C) @ w.transpose(1, 0, 2).reshape(C, K * F)
+    taps = taps.reshape(N, L + K - 1, K, F)
+    out = np.add(taps[:, :L, 0], taps[:, 1:L + 1, 1], out=out)
+    for k in range(2, K):
+        out += taps[:, k:k + L, k]
+    return out
+
+
+def _tap_conv_adjoint(g: np.ndarray, w: np.ndarray, x: Optional[np.ndarray] = None,
+                      inputs: bool = True) -> tuple:
+    """Adjoint of ``_tap_conv`` for the output gradient g (N, L, F): the
+    kernel gradient if the input ``x`` is given and the input gradient if
+    ``inputs``, else None.  g fills K shifted slabs of the tap gradient dP
+    (N, L+K-1, K*F); then dw = xp^T dP and dxp = dP W^T, cropped to dx."""
+    N, L, F = g.shape
+    K, C, _ = w.shape
+    dp = g
+    if K > 1:
+        dp = np.zeros((N, L + K - 1, K, F), dtype=g.dtype)
+        for k in range(K):
+            dp[:, k:k + L, k] = g
+    dp = dp.reshape(-1, K * F)
+    xp = None if x is None else _pad(x, K).reshape(-1, C)
+    dw = None if xp is None else (xp.T @ dp).reshape(C, K, F).transpose(1, 0, 2)
+    if not inputs:
+        return dw, None
+    dxp = (dp @ w.transpose(1, 0, 2).reshape(C, K * F).T).reshape(N, L + K - 1, C)
+    return dw, dxp[:, (K - 1) // 2:][:, :L]
 
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -79,34 +95,29 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     right, so even widths pad one extra column on the right.
     """
     xd, single = _batched(x)
-    B, L, C = xd.shape
     if kernels.data.ndim != 3:
         raise ShapeError(f"kernels must be (K, C, F), got {kernels.data.shape}")
-    K, Ck, F = kernels.data.shape
-    if Ck != C:
-        raise ShapeError(f"kernel channels {Ck} do not match input channels {C}")
+    K, C, F = kernels.data.shape
+    if C != xd.shape[2]:
+        raise ShapeError(f"kernel channels {C} do not match input channels {xd.shape[2]}")
     if bias is not None and bias.data.shape != (F,):
         raise ShapeError(f"bias must be ({F},), got {bias.data.shape}")
-    cols = _im2col(xd, K).reshape(B * L, K * C)
-    wf = kernels.data.reshape(K * C, F)
-    out = (cols @ wf).reshape(B, L, F)
+    out = _tap_conv(xd, kernels.data)
     if bias is not None:
         out = out + bias.data
-    if single:
-        out = out[0]
 
     def backward(g):
-        gb = g.reshape(B * L, F)
-        if kernels.requires_grad:
-            kernels._accumulate((cols.T @ gb).reshape(K, C, F))
+        gb = g[None, ...] if single else g
+        dw, dx = _tap_conv_adjoint(gb, kernels.data, xd if kernels.requires_grad else None,
+                                   x.requires_grad)
+        kernels._accumulate(dw)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(gb.sum(axis=0))
-        if x.requires_grad:
-            dx = _col2im((gb @ wf.T).reshape(B, L, K * C), K)
+            bias._accumulate(gb.reshape(-1, F).sum(axis=0))
+        if dx is not None:
             x._accumulate(dx[0] if single else dx)
 
     parents = (x, kernels) if bias is None else (x, kernels, bias)
-    return Tensor._op(out, parents, backward)
+    return Tensor._op(out[0] if single else out, parents, backward)
 
 
 def maxpool1d(x: Tensor, pool: int) -> Tensor:
@@ -289,26 +300,18 @@ def init_lstm_params(
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
 
+    # dense weights are the width-1 kernels without their tap axis
+    width, taps = (1, ()) if mode == "dense" else (kernel_width, (kernel_width,))
     w_x, w_h, b = {}, {}, {}
     for gate in _GATES:
-        if mode == "dense":
-            w_x[gate] = glorot((input_dim, units), input_dim, units)
-            w_h[gate] = glorot((units, units), units, units)
-        else:
-            w_x[gate] = glorot((kernel_width, input_dim, units), kernel_width * input_dim, units)
-            w_h[gate] = glorot((kernel_width, units, units), kernel_width * units, units)
+        w_x[gate] = glorot(taps + (input_dim, units), width * input_dim, units)
+        w_h[gate] = glorot(taps + (units, units), width * units, units)
         b[gate] = Tensor(np.zeros(units, dtype=dtype), requires_grad=True)
     w_c = None
     if peephole:
         shape = (units,) if mode == "dense" else (seq_len, units)
         w_c = {g: Tensor(np.zeros(shape, dtype=dtype), requires_grad=True) for g in ("i", "f", "o")}
     return LstmParams(w_x=w_x, w_h=w_h, b=b, w_c=w_c, mode=mode)
-
-
-def _transform(x: Tensor, w: Tensor, mode: str) -> Tensor:
-    if mode == "dense":
-        return dense(x, w)
-    return conv1d(x, w)
 
 
 def lstm_step(x: Tensor, state: LstmState, params: LstmParams):
@@ -321,14 +324,11 @@ def lstm_step(x: Tensor, state: LstmState, params: LstmParams):
     tape is the reference the fused ``lstm_forward`` is tested against.
     """
     h, c = state.hidden, state.cell
-    pre = {
-        g: _transform(x, params.w_x[g], params.mode) + _transform(h, params.w_h[g], params.mode)
-        + params.b[g]
-        for g in _GATES
-    }
-    if params.peephole:
-        pre["i"] = pre["i"] + params.w_c["i"] * c
-        pre["f"] = pre["f"] + params.w_c["f"] * c
+    transform = dense if params.mode == "dense" else conv1d
+    pre = {g: transform(x, params.w_x[g]) + transform(h, params.w_h[g]) + params.b[g]
+           for g in _GATES}
+    for g in ("i", "f") if params.peephole else ():
+        pre[g] = pre[g] + params.w_c[g] * c
     i, f = pre["i"].sigmoid(), pre["f"].sigmoid()
     c_new = f * c + i * pre["c"].tanh()
     if params.peephole:
@@ -375,19 +375,17 @@ def lstm_recurrence(z: np.ndarray, params: LstmParams, initial=None):
     index 0 the initial one, and the gate activations (T, B, S, 4U)."""
     T, B, S, _ = z.shape
     U = params.b["i"].data.shape[0]
-    _, wh, _ = params.stacked()
-    width = wh.shape[0] // U
+    wh = params.stacked()[1].reshape(-1, U, 4 * U)
     peep = [params.w_c[g].data for g in ("i", "f", "o")] if params.peephole else None
     acts = np.empty_like(z)
     states = np.zeros((2, T + 1, B, S, U), dtype=z.dtype)
     if initial is not None:
         states[:, 0] = initial
-    recurrent = np.empty((B * S, 4 * U), dtype=z.dtype)
+    recurrent = np.empty((B, S, 4 * U), dtype=z.dtype)
     # step t reads states[:, t] and writes states[:, t + 1], in place
     for t in range(T):
         c, zt, at = states[1, t], z[t], acts[t]
-        np.matmul(_im2col(states[0, t], width).reshape(B * S, -1), wh, out=recurrent)
-        zt += recurrent.reshape(B, S, 4 * U)
+        zt += _tap_conv(states[0, t], wh, out=recurrent)
         i, f, g, o = (at[..., k * U:(k + 1) * U] for k in range(4))
         if peep is not None:
             zt[..., :U] += peep[0] * c
@@ -419,10 +417,11 @@ def _lstm_sequence(x: Tensor, params: LstmParams, state: Optional[LstmState]) ->
 
     Returns the hidden and cell states of every step stacked as
     (2, B, T, *state_shape).  The input transforms of all steps are one
-    GEMM against the per-gate weights stacked to (K*C, 4U); each step of
-    ``lstm_recurrence`` adds one (K*U, 4U) GEMM of its state, and
-    backward is hand-written BPTT.  Dense mode is the width-1 convolution
-    over a length-1 axis, so both modes share the im2col code of ``conv1d``.
+    convolution against the per-gate weights stacked to (K, C, 4U); each
+    step of ``lstm_recurrence`` adds one convolution of its state by the
+    (K, U, 4U) stack, and backward is hand-written BPTT through their
+    adjoints.  Dense mode is the width-1 convolution over a length-1 axis,
+    so both modes share the convolution core of ``conv1d``.
     """
     dense_mode = params.mode == "dense"
     xd = x.data[:, :, None, :] if dense_mode else x.data
@@ -432,11 +431,11 @@ def _lstm_sequence(x: Tensor, params: LstmParams, state: Optional[LstmState]) ->
     wx, wh, bias = params.stacked()
     if wx.shape[0] != width * C:
         raise ShapeError(f"step input {xd.shape[2:]} does not fit weights {params.w_x['i'].shape}")
+    wx, wh = wx.reshape(width, C, 4 * U), wh.reshape(width, U, 4 * U)
     peep = [params.w_c[g].data for g in ("i", "f", "o")] if params.peephole else None
 
     xt = np.ascontiguousarray(xd.transpose(1, 0, 2, 3)).reshape(T * B, S, C)
-    xcols = _im2col(xt, width).reshape(T * B * S, width * C)
-    z = (xcols @ wx + bias).reshape(T, B, S, 4 * U)
+    z = (_tap_conv(xt, wx) + bias).reshape(T, B, S, 4 * U)
     initial = None if state is None else [
         given.data.reshape(B, S, U) for given in (state.hidden, state.cell)]
     states, acts = lstm_recurrence(z, params, initial)
@@ -462,10 +461,11 @@ def _lstm_sequence(x: Tensor, params: LstmParams, state: Optional[LstmState]) ->
             dc = dc * f
             if peep is not None:
                 dc += dzi * peep[0] + dzf * peep[1]
-            dh = _col2im((dz[t].reshape(B * S, 4 * U) @ wh.T).reshape(B, S, -1), width)
-        dz_flat = dz.reshape(T * B * S, 4 * U)
-        hcols = _im2col(states[0, :T].reshape(T * B, S, U), width).reshape(T * B * S, -1)
-        blocks = (xcols.T @ dz_flat, hcols.T @ dz_flat, dz_flat.sum(axis=0))
+            dh = _tap_conv_adjoint(dz[t], wh)[1]
+        dz_seq = dz.reshape(T * B, S, 4 * U)
+        dwh = _tap_conv_adjoint(dz_seq, wh, states[0, :T].reshape(T * B, S, U), inputs=False)[0]
+        dwx, dx = _tap_conv_adjoint(dz_seq, wx, xt, x.requires_grad)
+        blocks = (dwx, dwh, dz_seq.reshape(-1, 4 * U).sum(axis=0))
         for table, block in zip((params.w_x, params.w_h, params.b), blocks):
             for gate, piece in zip(_GATES, np.split(block, 4, axis=-1)):
                 table[gate]._accumulate(piece.reshape(table[gate].data.shape))
@@ -477,9 +477,8 @@ def _lstm_sequence(x: Tensor, params: LstmParams, state: Optional[LstmState]) ->
         if state is not None:
             state.hidden._accumulate(dh.reshape(state.hidden.data.shape))
             state.cell._accumulate(dc.reshape(state.cell.data.shape))
-        if x.requires_grad:
-            dx = _col2im((dz_flat @ wx.T).reshape(T * B, S, -1), width).reshape(T, B, S, C)
-            x._accumulate(dx.transpose(1, 0, 2, 3).reshape(x.data.shape))
+        if dx is not None:
+            x._accumulate(dx.reshape(T, B, S, C).transpose(1, 0, 2, 3).reshape(x.data.shape))
 
     parents = [x, *params.tensors().values()]
     if state is not None:

@@ -191,3 +191,61 @@ def brute_fasttext_fit(docs, labels, vocab, *, dim, epochs, learning_rate, nmin,
                 lookup[row] -= lr * d_rows[0] / np.sqrt(acc_lookup[row])
         epoch_losses.append(total / len(docs))
     return lookup, projection, epoch_losses
+
+
+def _im2col(x: np.ndarray, width: int) -> np.ndarray:
+    """Same-padded windows: (N, L, C) -> (N, L, width*C).
+
+    Zero padding is split (width-1)//2 left, remainder right.  Width 1 is
+    the dense case and returns ``x`` itself.
+    """
+    if width == 1:
+        return x
+    n, length, channels = x.shape
+    left = (width - 1) // 2
+    xp = np.pad(x, ((0, 0), (left, width - 1 - left), (0, 0)))
+    s0, s1, s2 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, length, width, channels), strides=(s0, s1, s1, s2)
+    )
+    return windows.reshape(n, length, width * channels).copy()
+
+
+def _col2im(dcols: np.ndarray, width: int) -> np.ndarray:
+    """Adjoint of ``_im2col``: (N, L, width*C) -> (N, L, C)."""
+    if width == 1:
+        return dcols
+    n, length, wc = dcols.shape
+    left = (width - 1) // 2
+    d = dcols.reshape(n, length, width, wc // width)
+    dxp = np.zeros((n, length + width - 1, wc // width), dtype=dcols.dtype)
+    for k in range(width):
+        dxp[:, k : k + length, :] += d[:, :, k, :]
+    return dxp[:, left : left + length, :]
+
+
+def im2col_conv1d(x, kernels, bias, g):
+    """Same-padded 1-D convolution by unrolled windows (Chellapilla et al.,
+    2006), the layout ``nn.conv1d`` used before its tap projection.
+
+    x (L, C) or (B, L, C), kernels (K, C, F), bias (F,) or None, and the
+    output gradient g shaped as the output.  Returns (out, d_kernels,
+    d_bias, d_x); d_bias is None without a bias.
+    """
+    single = x.ndim == 2
+    xd = x[None, ...] if single else x
+    B, L, C = xd.shape
+    K, Ck, F = kernels.shape
+    cols = _im2col(xd, K).reshape(B * L, K * C)
+    wf = kernels.reshape(K * C, F)
+    out = (cols @ wf).reshape(B, L, F)
+    if bias is not None:
+        out = out + bias
+    if single:
+        out = out[0]
+
+    gb = g.reshape(B * L, F)
+    d_kernels = (cols.T @ gb).reshape(K, C, F)
+    d_bias = None if bias is None else gb.sum(axis=0)
+    dx = _col2im((gb @ wf.T).reshape(B, L, K * C), K)
+    return out, d_kernels, d_bias, dx[0] if single else dx

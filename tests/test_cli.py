@@ -263,6 +263,10 @@ class TestTrainPredictEval:
         (["--model", "fasttext", "--emb-dim", "0"], "dim"),
         (["--model", "fasttext", "--epochs", "-1"], "epochs"),
         (["--model", "convlstm", "--epochs", "-1"], "epochs"),
+        (["--model", "convlstm", "--batch-size", "-1"], "batch_size"),
+        (["--model", "convlstm", "--batch-size", "0"], "batch_size"),
+        (["--model", "convlstm", "--lr", "-0.5"], "learning_rate"),
+        (["--model", "logreg", "--cv", "0"], "k must be >= 2"),
     ])
     def test_bad_training_hyperparameter_is_data_error(self, corpus_file, tmp_path, capsys,
                                                        flags, message):

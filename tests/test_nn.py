@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from textclf import nn
 from textclf.nn import ShapeError, Tensor
 
@@ -109,6 +112,43 @@ class TestConv1d:
     def test_channel_mismatch_names_shapes(self):
         with pytest.raises(ShapeError, match="channels"):
             nn.conv1d(Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2, 1))))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 8])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("length", [7, 3])
+    def test_matches_im2col_oracle(self, width, batched, with_bias, length):
+        rng = np.random.default_rng(width * 10 + length)
+        C, F = 5, 4
+        x_shape = ((3,) if batched else ()) + (length, C)
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        k = Tensor(rng.normal(size=(width, C, F)), requires_grad=True)
+        b = Tensor(rng.normal(size=F), requires_grad=True) if with_bias else None
+        g = rng.normal(size=x_shape[:-1] + (F,))
+        out = nn.conv1d(x, k, b)
+        (out * Tensor(g)).sum().backward()
+        ref_out, ref_dk, ref_db, ref_dx = oracles.im2col_conv1d(
+            x.data, k.data, None if b is None else b.data, g)
+        np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(k.grad, ref_dk, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(x.grad, ref_dx, rtol=0, atol=1e-10)
+        if b is not None:
+            np.testing.assert_allclose(b.grad, ref_db, rtol=0, atol=1e-10)
+
+    def test_tape_retains_no_unrolled_windows(self):
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(8, 50, 64)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(8, 64, 16)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = nn.conv1d(x, k)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 2 * x.data.nbytes + out.data.nbytes
+        out.sum().backward()
+        assert k.grad.shape == k.data.shape and x.grad.shape == x.data.shape
 
 
 class TestPooling:
