@@ -26,7 +26,7 @@ from .embeddings import (
     load_word_vectors,
     save_word_vectors,
 )
-from .eval import EvalReport, _binary_curves, confusion_matrix, cross_validate, macro_prf, mcc
+from .eval import EvalReport, _report, cross_validate
 from .model import ConvLstmClassifier, FastTextClassifier, TfidfClassifier, load_classifier
 from .pipeline import (
     PipelineConfig,
@@ -361,31 +361,29 @@ def _cmd_eval(args) -> int:
         payload = json.loads(Path(args.pred).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read predictions {args.pred}: {exc}")
-    if "labels" not in payload:
+    pred = payload.get("labels") if isinstance(payload, dict) else None
+    if not isinstance(pred, list):
         raise ValueError(f"{args.pred}: predictions JSON needs a 'labels' list")
-    pred = payload["labels"]
     if len(pred) != len(gold):
         raise ValueError(
             f"{len(gold)} gold labels but {len(pred)} predictions"
         )
     classes = payload.get("classes") or sorted(set(gold) | set(pred))
-    matrix = confusion_matrix(gold, pred, classes)
-    p, r, f1, per_class = macro_prf(matrix)
-    report = EvalReport(
-        classes=list(classes),
-        config={"gold": str(args.gold), "pred": str(args.pred)},
-        holdout_metrics={"macro_precision": p, "macro_recall": r, "macro_f1": f1},
-        per_class=[list(t) for t in per_class],
-        confusion=matrix.tolist(),
-    )
-    probabilities = payload.get("probabilities")
-    if len(classes) == 2:
-        report.holdout_metrics["mcc"] = mcc(matrix)
-        if probabilities is not None:
-            scores = np.asarray(probabilities, dtype=np.float64)
-            if scores.ndim == 2:
-                scores = scores[:, 1]
-            _binary_curves(report, scores, gold, classes[1])
+    if len(set(classes)) != len(classes):
+        raise ValueError(f"{args.pred}: 'classes' must be distinct, got {classes}")
+    probs = payload.get("probabilities")
+    if probs is not None:
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.ndim == 1 and len(classes) == 2:
+            probs = np.stack([1.0 - probs, probs], axis=1)
+        if probs.shape != (len(gold), len(classes)):
+            raise ValueError(
+                f"{args.pred}: 'probabilities' needs {len(gold)} rows of {len(classes)} "
+                f"columns in 'classes' order, got shape {probs.shape}"
+            )
+    # curves are drawn for two classes only; multi-class files are scored on labels
+    report = _report(gold, pred, classes, probs if len(classes) == 2 else None,
+                     config={"gold": str(args.gold), "pred": str(args.pred)})
     output_dir = Path(args.output_dir) if args.output_dir else Path(args.pred).parent
     artifacts = write_report(report, output_dir)
     _write_manifest(output_dir, "eval",

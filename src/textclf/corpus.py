@@ -74,12 +74,6 @@ class Vocabulary:
     def __contains__(self, token):
         return token in self.token_to_id
 
-    def id_of(self, token):
-        return self.token_to_id[token]
-
-    def token_of(self, token_id):
-        return self.id_to_token[token_id]
-
     @property
     def tokens(self):
         return [self.id_to_token[i] for i in range(1, len(self) + 1)]

@@ -67,6 +67,10 @@ class TrainSpec:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.negatives < 1:
             raise ValueError(f"negatives must be >= 1, got {self.negatives}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 1 <= self.nmin <= self.nmax:
             raise ValueError(f"need 1 <= nmin <= nmax, got {self.nmin}..{self.nmax}")
         if self.bucket_count < 1:
@@ -152,15 +156,15 @@ class EmbeddingModel:
             raise ValueError(f"unknown embedding kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        for name, table in [
-            ("input_vectors", self.input_vectors),
-            ("output_vectors", self.output_vectors),
-            ("bucket_vectors", self.bucket_vectors),
-        ]:
-            if table is not None and not np.all(np.isfinite(table)):
-                raise FloatingPointError(f"{name} holds non-finite values")
+        self._check_finite()
         if np.any(self.input_vectors[0] != 0.0):
             raise ValueError("padding row of input_vectors must be zero")
+
+    def _check_finite(self):
+        for name in ("input_vectors", "output_vectors", "bucket_vectors"):
+            table = getattr(self, name)
+            if table is not None and not np.all(np.isfinite(table)):
+                raise FloatingPointError(f"{name} holds non-finite values")
 
     def __contains__(self, word):
         return word in self.vocab
@@ -281,6 +285,7 @@ def _run_sgns_epochs(model, encoded, spec, subword: bool):
                 total += loss
                 count += 1
         model.epoch_losses.append(total / max(count, 1))
+    model._check_finite()
 
 
 # -- co-occurrence factorization ------------------------------------------
@@ -601,11 +606,14 @@ def load_word_vectors(path, kind: str = "sgns", seed: int = 0) -> EmbeddingModel
 
 
 class _EmbeddingEstimator:
-    """fit(docs) -> self with a trained ``model_``; query helpers included."""
+    """fit(docs) -> self with a trained ``model_``; query helpers included.
+
+    Every parameter but ``min_df`` is a TrainSpec field."""
 
     def fit(self, docs, y=None):
-        vocab = build_vocabulary(docs, min_df=self.min_df)
-        self.model_ = self._train(docs, vocab)
+        params = self.get_params()
+        vocab = build_vocabulary(docs, min_df=params.pop("min_df"))
+        self.model_ = self._train(docs, vocab, TrainSpec(**params))
         return self
 
     def vector(self, word, oov_strategy: str = "error"):
@@ -634,15 +642,7 @@ class SkipGramEmbedding(ParamsMixin, _EmbeddingEstimator):
         self.seed = seed
         self.min_df = min_df
 
-    def _train(self, docs, vocab):
-        spec = TrainSpec(
-            dim=self.dim,
-            window=self.window,
-            negatives=self.negatives,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-        )
+    def _train(self, docs, vocab, spec):
         return train_sgns(docs, vocab, spec)
 
 
@@ -667,18 +667,8 @@ class GloveEmbedding(ParamsMixin, _EmbeddingEstimator):
         self.seed = seed
         self.min_df = min_df
 
-    def _train(self, docs, vocab):
-        spec = TrainSpec(
-            dim=self.dim,
-            window=self.window,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            x_max=self.x_max,
-            alpha=self.alpha,
-            seed=self.seed,
-        )
-        cooc = build_cooccurrence(docs, self.window, vocab)
-        return train_glove(cooc, spec)
+    def _train(self, docs, vocab, spec):
+        return train_glove(build_cooccurrence(docs, spec.window, vocab), spec)
 
 
 class SubwordEmbedding(ParamsMixin, _EmbeddingEstimator):
@@ -706,16 +696,5 @@ class SubwordEmbedding(ParamsMixin, _EmbeddingEstimator):
         self.seed = seed
         self.min_df = min_df
 
-    def _train(self, docs, vocab):
-        spec = TrainSpec(
-            dim=self.dim,
-            window=self.window,
-            negatives=self.negatives,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            nmin=self.nmin,
-            nmax=self.nmax,
-            bucket_count=self.bucket_count,
-            seed=self.seed,
-        )
+    def _train(self, docs, vocab, spec):
         return train_subword_sgns(docs, vocab, spec)

@@ -124,6 +124,8 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> tuple[RocCurve, f
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape != labels.shape:
         raise ValueError("scores and labels differ in length")
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -158,7 +160,7 @@ def calibration_curve(probabilities: Sequence[float], labels: Sequence[int],
     """
     probs = np.asarray(probabilities, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if np.any((probs < 0) | (probs > 1)):
+    if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails both comparisons
         raise ValueError("probabilities must lie in [0, 1]")
     edges = np.linspace(0.0, 1.0, bins + 1)
     assignment = np.clip(np.digitize(probs, edges[1:-1], right=False), 0, bins - 1)
@@ -210,38 +212,76 @@ class EvalReport:
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def _score_split(model, docs, labels, classes) -> dict:
-    """Metrics and class distributions ``probs`` from one ``predict_proba`` call."""
-    probs = np.asarray(model.predict_proba(docs))
-    pred = [model.classes_[i] for i in np.argmax(probs, axis=1)]
-    matrix = confusion_matrix(labels, pred, classes)
+_SCALARS = ("macro_precision", "macro_recall", "macro_f1", "mcc", "auc")
+
+
+def _distributions(model, docs, classes) -> np.ndarray:
+    """Class distributions of ``docs`` from one ``predict_proba`` call, with
+    the columns reordered from ``model.classes_`` to ``classes``."""
+    own = list(model.classes_)
+    missing = [c for c in classes if c not in own]
+    if missing:
+        raise ValueError(f"model has no probability column for classes {missing}")
+    return np.asarray(model.predict_proba(docs))[:, [own.index(c) for c in classes]]
+
+
+def _argmax(probs, classes) -> list:
+    return [classes[i] for i in np.argmax(probs, axis=1)]
+
+
+def _metrics(gold, pred, classes) -> dict:
+    """Confusion matrix, per-class and macro precision/recall/F1 and, for
+    two classes, MCC."""
+    matrix = confusion_matrix(gold, pred, classes)
     p, r, f1, per_class = macro_prf(matrix)
-    out = {
-        "macro_precision": p,
-        "macro_recall": r,
-        "macro_f1": f1,
-        "matrix": matrix,
-        "per_class": per_class,
-        "probs": probs,
-    }
+    out = {"matrix": matrix, "per_class": per_class,
+           "macro_precision": p, "macro_recall": r, "macro_f1": f1}
     if len(classes) == 2:
         out["mcc"] = mcc(matrix)
-        binary = np.array([1 if l == classes[1] else 0 for l in labels])
-        if len(set(binary.tolist())) == 2:
-            _, auc_value = roc_auc(probs[:, 1], binary)
-            out["auc"] = auc_value
     return out
 
 
-def _binary_curves(report: EvalReport, scores, gold, positive) -> None:
-    """Set the hold-out AUC, ROC curve and calibration of the ``positive``
-    class ``scores`` on ``report``, when ``gold`` holds both classes."""
-    binary = np.array([1 if label == positive else 0 for label in gold])
-    if len(set(binary.tolist())) == 2:
-        curve, auc_value = roc_auc(scores, binary)
-        report.holdout_metrics["auc"] = auc_value
-        report.roc = {"points": [list(p) for p in curve.points], "auc": auc_value}
-        report.calibration = [list(row) for row in calibration_curve(scores, binary).to_rows()]
+def _f1(gold, probs, classes) -> float:
+    """Macro-F1 of the argmax labels of ``probs``, columns in ``classes`` order."""
+    return _metrics(gold, _argmax(probs, classes), classes)["macro_f1"]
+
+
+def _rocs(probs, gold, classes) -> dict:
+    """Class -> (ROC curve of its column against the rest, 0/1 gold), for
+    each class with both members and non-members in ``gold``; for two
+    classes only the positive class ``classes[1]``."""
+    rocs = {}
+    for ci in [1] if len(classes) == 2 else range(len(classes)):
+        binary = np.array([1 if label == classes[ci] else 0 for label in gold])
+        if len(set(binary.tolist())) == 2:
+            rocs[classes[ci]] = roc_auc(probs[:, ci], binary)[0], binary
+    return rocs
+
+
+def _report(gold, pred, classes, probs=None, **fields) -> EvalReport:
+    """The EvalReport of ``pred`` against hold-out ``gold`` plus ``fields``.
+    Given ``probs``, columns in ``classes`` order, it adds the ROC curves
+    and, for two classes, the AUC and the calibration."""
+    scores = _metrics(gold, pred, classes)
+    report = EvalReport(
+        classes=list(classes),
+        holdout_metrics={name: float(scores[name]) for name in _SCALARS if name in scores},
+        per_class=[list(t) for t in scores["per_class"]],
+        confusion=scores["matrix"].tolist(),
+        **fields,
+    )
+    rocs = {} if probs is None else _rocs(probs, gold, classes)
+    curves = {cls: {"points": [list(p) for p in curve.points], "auc": curve.auc}
+              for cls, (curve, _) in rocs.items()}
+    if len(classes) == 2 and rocs:
+        curve, binary = rocs[classes[1]]
+        report.holdout_metrics["auc"] = curve.auc
+        report.roc = curves[classes[1]]
+        report.calibration = [list(row) for row in calibration_curve(probs[:, 1], binary).to_rows()]
+    elif rocs:
+        report.roc = {"per_class": curves,
+                      "macro_auc": float(np.mean([roc["auc"] for roc in curves.values()]))}
+    return report
 
 
 def _docs_and_labels(ds: LabeledDataset, indices=None) -> tuple[list, list]:
@@ -262,6 +302,17 @@ def _holdout_and_folds(dataset: LabeledDataset, k: int, seed: int, holdout_fract
     return _docs_and_labels(train_ds), _docs_and_labels(dataset, test_idx), assignment, folds
 
 
+def _fold_fields(fold_metrics: dict, assignment) -> dict:
+    """The per-fold values, their mean and std, and the fold assignment."""
+    return {
+        "fold_metrics": {name: [float(v) for v in values]
+                         for name, values in fold_metrics.items()},
+        "fold_summary": {name: {"mean": float(np.mean(values)), "std": float(np.std(values))}
+                         for name, values in fold_metrics.items()},
+        "fold_assignment": [int(f) for f in assignment.folds],
+    }
+
+
 def cross_validate(trainer: Callable, dataset: LabeledDataset, k: int = 5,
                    seed: int = 0, holdout_fraction: float = 0.2,
                    config_echo: Optional[dict] = None) -> EvalReport:
@@ -274,6 +325,7 @@ def cross_validate(trainer: Callable, dataset: LabeledDataset, k: int = 5,
     validated exactly once; the final model is refit on the whole training
     portion and scored on the hold-out.
     """
+    classes = dataset.classes
     train, (test_docs, gold), assignment, folds = _holdout_and_folds(
         dataset, k, seed, holdout_fraction)
 
@@ -281,51 +333,22 @@ def cross_validate(trainer: Callable, dataset: LabeledDataset, k: int = 5,
     for fit_docs, fit_labels, val_docs, val_labels in folds:
         model = trainer()
         model.fit(fit_docs, fit_labels)
-        scores = _score_split(model, val_docs, val_labels, dataset.classes)
-        for name in ("macro_precision", "macro_recall", "macro_f1", "mcc", "auc"):
+        probs = _distributions(model, val_docs, classes)
+        scores = _metrics(val_labels, _argmax(probs, classes), classes)
+        if len(classes) == 2:
+            for curve, _ in _rocs(probs, val_labels, classes).values():
+                scores["auc"] = curve.auc
+        for name in _SCALARS:
             if name in scores:
                 fold_metrics.setdefault(name, []).append(scores[name])
 
-    summary = {
-        name: {"mean": float(np.mean(values)), "std": float(np.std(values))}
-        for name, values in fold_metrics.items()
-    }
-
     final = trainer()
     final.fit(*train)
-    holdout = _score_split(final, test_docs, gold, dataset.classes)
-
-    report = EvalReport(
-        classes=list(dataset.classes),
-        config=config_echo or {},
-        seeds={"seed": seed, "cv_seed": derive_seed(seed, "cv")},
-        fold_metrics={k2: [float(v) for v in vs] for k2, vs in fold_metrics.items()},
-        fold_summary=summary,
-        holdout_metrics={
-            name: float(holdout[name])
-            for name in ("macro_precision", "macro_recall", "macro_f1", "mcc", "auc")
-            if name in holdout
-        },
-        per_class=[list(t) for t in holdout["per_class"]],
-        confusion=holdout["matrix"].tolist(),
-        fold_assignment=[int(f) for f in assignment.folds],
-    )
-
-    probs = holdout["probs"]
-    if len(dataset.classes) == 2:
-        _binary_curves(report, probs[:, 1], gold, dataset.classes[1])
-    else:
-        per_class_roc = {}
-        for ci, cls in enumerate(dataset.classes):
-            binary = np.array([1 if l == cls else 0 for l in gold])
-            if len(set(binary.tolist())) != 2:
-                continue
-            curve, auc_value = roc_auc(probs[:, ci], binary)
-            per_class_roc[cls] = {"points": [list(p) for p in curve.points], "auc": auc_value}
-        if per_class_roc:
-            aucs = [roc["auc"] for roc in per_class_roc.values()]
-            report.roc = {"per_class": per_class_roc, "macro_auc": float(np.mean(aucs))}
-    return report
+    probs = _distributions(final, test_docs, classes)
+    return _report(gold, _argmax(probs, classes), classes, probs,
+                   config=config_echo or {},
+                   seeds={"seed": seed, "cv_seed": derive_seed(seed, "cv")},
+                   **_fold_fields(fold_metrics, assignment))
 
 
 def cross_validate_ensemble(trainers: dict, dataset: LabeledDataset, k: int = 5,
@@ -340,8 +363,7 @@ def cross_validate_ensemble(trainers: dict, dataset: LabeledDataset, k: int = 5,
     longer exists at that point), the members are refit on the whole
     training portion, and their averaged distribution is scored.
     """
-    from .model import ensemble_average
-
+    classes = dataset.classes
     train, (test_docs, gold), assignment, folds = _holdout_and_folds(
         dataset, k, seed, holdout_fraction)
 
@@ -349,54 +371,29 @@ def cross_validate_ensemble(trainers: dict, dataset: LabeledDataset, k: int = 5,
     ensemble_fold_f1 = []
     fold_members = []
     for fit_docs, fit_labels, val_docs, val_labels in folds:
-        fitted = {}
+        probs = {}
         for name, trainer in trainers.items():
             model = trainer()
             model.fit(fit_docs, fit_labels)
-            fitted[name] = model
-            matrix = confusion_matrix(val_labels, model.predict(val_docs),
-                                      dataset.classes)
-            fold_scores[name].append(macro_prf(matrix)[2])
+            probs[name] = _distributions(model, val_docs, classes)
+            fold_scores[name].append(_f1(val_labels, probs[name], classes))
         ranked = sorted(trainers, key=lambda n: (-fold_scores[n][-1], n))[:top]
         fold_members.append(ranked)
-        probs = ensemble_average([fitted[name] for name in ranked], val_docs)
-        pred = [dataset.classes[i] for i in np.argmax(probs, axis=1)]
-        matrix = confusion_matrix(val_labels, pred, dataset.classes)
-        ensemble_fold_f1.append(macro_prf(matrix)[2])
+        ensemble = np.mean([probs[name] for name in ranked], axis=0)
+        ensemble_fold_f1.append(_f1(val_labels, ensemble, classes))
 
     mean_f1 = {name: float(np.mean(scores)) for name, scores in fold_scores.items()}
     final_members = sorted(trainers, key=lambda n: (-mean_f1[n], n))[:top]
-    members = []
+    held_out = []
     for name in final_members:
         model = trainers[name]()
         model.fit(*train)
-        members.append(model)
-
-    probs = ensemble_average(members, test_docs)
-    pred = [dataset.classes[i] for i in np.argmax(probs, axis=1)]
-    matrix = confusion_matrix(gold, pred, dataset.classes)
-    p, r, f1, per_class = macro_prf(matrix)
-    report = EvalReport(
-        classes=list(dataset.classes),
-        config={
-            "ensemble_members": final_members,
-            "fold_members": fold_members,
-            "member_mean_f1": mean_f1,
-        },
-        seeds={"seed": seed},
-        fold_metrics={"ensemble_macro_f1": [float(v) for v in ensemble_fold_f1]},
-        fold_summary={"ensemble_macro_f1": {
-            "mean": float(np.mean(ensemble_fold_f1)),
-            "std": float(np.std(ensemble_fold_f1)),
-        }},
-        holdout_metrics={"macro_precision": p, "macro_recall": r, "macro_f1": f1},
-        per_class=[list(t) for t in per_class],
-        confusion=matrix.tolist(),
-        fold_assignment=[int(f) for f in assignment.folds],
-    )
-    if len(dataset.classes) == 2:
-        report.holdout_metrics["mcc"] = mcc(matrix)
-    return report
+        held_out.append(_distributions(model, test_docs, classes))
+    return _report(gold, _argmax(np.mean(held_out, axis=0), classes), classes,
+                   config={"ensemble_members": final_members, "fold_members": fold_members,
+                           "member_mean_f1": mean_f1},
+                   seeds={"seed": seed},
+                   **_fold_fields({"ensemble_macro_f1": ensemble_fold_f1}, assignment))
 
 
 def learning_curve(trainer: Callable, dataset: LabeledDataset,
@@ -408,12 +405,13 @@ def learning_curve(trainer: Callable, dataset: LabeledDataset,
         raise ValueError("fractions must lie in (0, 1]")
     if sorted(fractions) != fractions:
         raise ValueError("fractions must be ascending")
+    classes = dataset.classes
     train_idx, valid_idx = stratified_holdout(dataset, holdout_fraction, seed)
     train_ds = dataset.subset(train_idx)
     valid_docs, valid_labels = _docs_and_labels(dataset, valid_idx)
 
     rng = check_random_state(derive_seed(seed, "curve"))
-    by_class = {c: [] for c in dataset.classes}
+    by_class = {c: [] for c in classes}
     for i, doc in enumerate(train_ds.documents):
         by_class[doc.label].append(i)
     for members in by_class.values():
@@ -422,7 +420,7 @@ def learning_curve(trainer: Callable, dataset: LabeledDataset,
     train_scores, valid_scores = [], []
     for fraction in fractions:
         subset: list[int] = []
-        for cls in dataset.classes:
+        for cls in classes:
             members = by_class[cls]
             n = int(round(fraction * len(members)))
             if n < 1:
@@ -434,12 +432,8 @@ def learning_curve(trainer: Callable, dataset: LabeledDataset,
         docs, labels = _docs_and_labels(train_ds, subset)
         model = trainer()
         model.fit(docs, labels)
-        train_matrix = confusion_matrix(labels, model.predict(docs), dataset.classes)
-        valid_matrix = confusion_matrix(
-            valid_labels, model.predict(valid_docs), dataset.classes
-        )
-        train_scores.append(macro_prf(train_matrix)[2])
-        valid_scores.append(macro_prf(valid_matrix)[2])
+        train_scores.append(_f1(labels, _distributions(model, docs, classes), classes))
+        valid_scores.append(_f1(valid_labels, _distributions(model, valid_docs, classes), classes))
     return LearningCurve(fractions=fractions, train_scores=train_scores,
                          valid_scores=valid_scores)
 

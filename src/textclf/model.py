@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -429,17 +429,9 @@ class ConvLstmClassifier(_Classifier):
         self.seed = seed
 
     def _make_config(self, n_classes: int) -> ConvLstmConfig:
-        return ConvLstmConfig(
-            seq_len=self.seq_len, emb_dim=self.emb_dim,
-            kernel_sizes=tuple(self.kernel_sizes),
-            filters_per_channel=self.filters_per_channel, pool=self.pool,
-            lstm_units=self.lstm_units, dropout_rate=self.dropout_rate,
-            noise_sigma=self.noise_sigma, n_classes=n_classes,
-            embedding_init=self.embedding_init,
-            freeze_embeddings=self.freeze_embeddings, loss_kind=self.loss_kind,
-            lstm_mode=self.lstm_mode, lstm_branch=self.lstm_branch,
-            peephole=self.peephole,
-        )
+        params = {f.name: getattr(self, f.name) for f in fields(ConvLstmConfig)}
+        return ConvLstmConfig(**{**params, "kernel_sizes": tuple(self.kernel_sizes),
+                                 "n_classes": n_classes})
 
     def _encode(self, docs) -> np.ndarray:
         return np.stack([

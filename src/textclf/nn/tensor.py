@@ -136,21 +136,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def backward(g):
-            self._accumulate(-g)
-        return Tensor._op(-self.data, (self,), backward)
-
-    def __sub__(self, other):
-        other = Tensor._lift(other, self.data.dtype)
-        def backward(g):
-            self._accumulate(g)
-            other._accumulate(-g)
-        return Tensor._op(self.data - other.data, (self, other), backward)
-
-    def __rsub__(self, other):
-        return Tensor._lift(other, self.data.dtype) - self
-
     def __mul__(self, other):
         other = Tensor._lift(other, self.data.dtype)
         def backward(g):
@@ -159,11 +144,6 @@ class Tensor:
         return Tensor._op(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return self * (1.0 / float(scalar))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -190,13 +170,6 @@ class Tensor:
                 ge = g if keepdims else np.expand_dims(g, axis)
                 self._accumulate(np.broadcast_to(ge, self.data.shape))
         return Tensor._op(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
-
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            count = self.data.size
-        else:
-            count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / count
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -230,11 +203,6 @@ class Tensor:
         def backward(g):
             self._accumulate(g * (1.0 - out * out))
         return Tensor._op(out, (self,), backward)
-
-    def log(self):
-        def backward(g):
-            self._accumulate(g / self.data)
-        return Tensor._op(np.log(self.data), (self,), backward)
 
     def maximum(self, other):
         """Elementwise maximum; ties route the gradient to ``self``."""

@@ -277,6 +277,23 @@ class TestTrainPredictEval:
         assert message in capsys.readouterr().err
         assert not (outdir / "model").exists()
 
+    @pytest.mark.parametrize("kind", ["sgns", "glove", "subword"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "nan"], "learning_rate"),
+        (["--lr", "inf"], "learning_rate"),
+        (["--lr", "1e30"], "non-finite"),
+        (["--lr", "-0.5"], "learning_rate"),
+        (["--epochs", "-1"], "epochs"),
+    ])
+    def test_bad_embedding_hyperparameter_is_data_error(self, corpus_file, tmp_path, capsys,
+                                                        kind, flags, message):
+        out = tmp_path / "v.vec"
+        rc = run_command(["embed", "--input", str(corpus_file), "--output", str(out),
+                          "--kind", kind, "--dim", "8", "--epochs", "1", *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_happy_path(self, tmp_path):
         gold = tmp_path / "gold.tsv"
         gold.write_text("A\tx\nA\ty\nB\tz\n", encoding="utf-8")
@@ -304,6 +321,48 @@ class TestTrainPredictEval:
         assert (out / "calibration.csv").exists()
         report = json.loads((out / "report.json").read_text())
         assert report["holdout_metrics"]["auc"] == 1.0
+
+    def test_eval_binary_score_vector_equals_two_columns(self, tmp_path):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("neg\ta\npos\tb\nneg\tc\npos\td\n", encoding="utf-8")
+        scores = [0.25, 0.75, 0.5, 0.625]
+        reports = []
+        for name, probabilities in (("vector", scores),
+                                    ("columns", [[1 - s, s] for s in scores])):
+            pred = tmp_path / f"{name}.json"
+            pred.write_text(json.dumps({"labels": ["neg", "pos", "neg", "pos"],
+                                        "probabilities": probabilities}), encoding="utf-8")
+            assert run_command(["eval", "--gold", str(gold), "--pred", str(pred),
+                                "--output-dir", str(tmp_path / name)]) == 0
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            reports.append({k: v for k, v in report.items() if k != "config"})
+        assert reports[0] == reports[1]
+        assert reports[0]["holdout_metrics"]["auc"] == 1.0
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"labels": ["neg", "pos", "neg", "pos"], "probabilities": [[0.1], [0.8], [0.3], [0.6]]},
+         "'probabilities'"),
+        ({"labels": ["neg", "pos", "neg", "pos"],
+          "probabilities": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.7, 0.2, 0.1], [0.3, 0.6, 0.1]]},
+         "'probabilities'"),
+        ({"labels": ["neg", "pos", "neg", "pos"], "classes": ["neg", "pos", "neg"]},
+         "'classes'"),
+        ({"labels": "npnp"}, "'labels' list"),
+        ({"labels": ["neg", "pos", "neg", "pos"], "probabilities": [0.1, None, 0.3, 0.6]},
+         "NaN"),
+    ], ids=["one-column", "three-columns", "repeated-class", "string-labels", "null-score"])
+    def test_eval_malformed_predictions_are_data_errors(self, tmp_path, capsys, payload,
+                                                         message):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("neg\ta\npos\tb\nneg\tc\npos\td\n", encoding="utf-8")
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = run_command(["eval", "--gold", str(gold), "--pred", str(pred),
+                          "--output-dir", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_mismatched_counts_is_data_error(self, tmp_path):
         gold = tmp_path / "gold.tsv"

@@ -141,6 +141,11 @@ class TestRocAuc:
         with pytest.raises(ValueError):
             roc_auc([0.5, 0.6], [1, 1])
 
+    def test_nan_score_rejected(self):
+        # NaN never equals itself, so its tie group would never end
+        with pytest.raises(ValueError, match="NaN"):
+            roc_auc([0.2, float("nan"), 0.7], [0, 1, 1])
+
     def test_matches_pairwise_enumeration_on_100_random_instances(self):
         rng = np.random.default_rng(10)
         for trial in range(100):
@@ -193,6 +198,10 @@ class TestCalibrationCurve:
         with pytest.raises(ValueError):
             calibration_curve([1.2], [1])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            calibration_curve([0.2, float("nan"), 0.9], [0, 1, 1])
+
     def test_bernoulli_draws_near_diagonal(self):
         rng = np.random.default_rng(13)
         probs = rng.random(10_000)
@@ -214,6 +223,97 @@ def _easy_dataset(n_per_class=30, classes=2, seed=0):
 
 def _fast_trainer():
     return FastTextClassifier(dim=12, epochs=8, learning_rate=0.2, seed=0)
+
+
+class _TokenVote:
+    """Scores class c of a document by how often its tokens carried label c
+    in training, plus ``prior``.  The arithmetic is exact, so a column's
+    values do not depend on the order of ``classes_``."""
+
+    def __init__(self, prior=1):
+        self.prior = prior
+
+    def fit(self, docs, labels):
+        self.classes_ = sorted(set(labels))
+        self.counts_ = {}
+        for doc, label in zip(docs, labels):
+            for token in doc:
+                self.counts_.setdefault(token, {}).setdefault(label, 0)
+                self.counts_[token][label] += 1
+        return self
+
+    def predict_proba(self, docs):
+        votes = np.array([[self.prior + sum(self.counts_.get(t, {}).get(c, 0) for t in doc)
+                           for c in self.classes_] for doc in docs], dtype=np.float64)
+        return votes / votes.sum(axis=1, keepdims=True)
+
+    def predict(self, docs):
+        return [self.classes_[i] for i in np.argmax(self.predict_proba(docs), axis=1)]
+
+
+def _reversed_classes(ds):
+    """``ds`` with its classes renamed so that ``classes`` runs opposite to
+    sorted order, and the renaming.  The splits match those of ``ds``,
+    because they follow the position of each class in ``classes``."""
+    names = {c: "zyxw"[i] for i, c in enumerate(ds.classes)}
+    docs = [TokenizedDocument(d.id, d.tokens, names[d.label]) for d in ds.documents]
+    renamed = LabeledDataset(docs, [names[c] for c in ds.classes])
+    assert renamed.classes == sorted(renamed.classes, reverse=True)
+    return renamed, names
+
+
+def _with_class_names(report, names):
+    """``report`` as a dict, with each class renamed by ``names``."""
+    out = report.to_dict()
+    out["classes"] = [names[c] for c in out["classes"]]
+    if out["roc"] is not None and "per_class" in out["roc"]:
+        out["roc"]["per_class"] = {names[c]: v for c, v in out["roc"]["per_class"].items()}
+    return out
+
+
+class TestClassOrder:
+    # probability columns follow model.classes_ (sorted); reports follow
+    # dataset.classes, whatever its order
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_cross_validate_matches_sorted_run(self, n_classes):
+        ds = _easy_dataset(15, classes=n_classes, seed=3)
+        renamed, names = _reversed_classes(ds)
+        sorted_run = cross_validate(_TokenVote, ds, k=3, seed=0)
+        reversed_run = cross_validate(_TokenVote, renamed, k=3, seed=0)
+        assert sorted_run.fold_metrics["macro_f1"] == [1.0] * 3
+        assert reversed_run.roc is not None
+        if n_classes == 2:
+            assert reversed_run.holdout_metrics["auc"] == sorted_run.holdout_metrics["auc"]
+            assert reversed_run.fold_metrics["auc"] == sorted_run.fold_metrics["auc"]
+            assert reversed_run.calibration == sorted_run.calibration
+        assert _with_class_names(sorted_run, names) == reversed_run.to_dict()
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_ensemble_matches_sorted_run(self, n_classes):
+        ds = _easy_dataset(15, classes=n_classes, seed=3)
+        renamed, names = _reversed_classes(ds)
+        trainers = {f"vote{prior}": (lambda prior=prior: _TokenVote(prior))
+                    for prior in (1, 10, 100)}
+        sorted_run = cross_validate_ensemble(trainers, ds, k=3, seed=0, top=2)
+        reversed_run = cross_validate_ensemble(trainers, renamed, k=3, seed=0, top=2)
+        assert sorted_run.holdout_metrics["macro_f1"] == 1.0
+        assert (reversed_run.fold_metrics["ensemble_macro_f1"]
+                == sorted_run.fold_metrics["ensemble_macro_f1"])
+        assert reversed_run.holdout_metrics["macro_f1"] == sorted_run.holdout_metrics["macro_f1"]
+        assert _with_class_names(sorted_run, names) == reversed_run.to_dict()
+
+    def test_model_without_a_dataset_class_is_named(self):
+        ds = _easy_dataset(10, classes=3)
+
+        class Blind(_TokenVote):
+            def fit(self, docs, labels):
+                super().fit(docs, labels)
+                self.classes_ = self.classes_[:2]
+                return self
+
+        with pytest.raises(ValueError, match="classc"):
+            cross_validate(Blind, ds, k=2, seed=0)
 
 
 class TestCrossValidate:
@@ -321,6 +421,35 @@ class TestCrossValidateEnsemble:
         assert len(report.config["fold_members"]) == 3
         assert all(len(members) == 3 for members in report.config["fold_members"])
         assert len(report.fold_metrics["ensemble_macro_f1"]) == 3
+
+
+    def test_one_inference_pass_per_member_and_split(self):
+        # each member runs predict_proba once per fold, each final member once
+        # on the hold-out; fold and hold-out ensembles average those passes
+        calls = {}
+
+        def counting(name, dim):
+            class Counting(FastTextClassifier):
+                def predict(self, docs):
+                    raise AssertionError("labels come from the predict_proba pass")
+
+                def predict_proba(self, docs):
+                    calls.setdefault(name, []).append(len(docs))
+                    return super().predict_proba(docs)
+
+            return lambda: Counting(dim=dim, epochs=2, seed=0)
+
+        ds = _easy_dataset(15, classes=3)
+        trainers = {name: counting(name, dim) for name, dim in
+                    (("a", 4), ("b", 8), ("c", 12))}
+        report = cross_validate_ensemble(trainers, ds, k=3, seed=0, top=2)
+        final = report.config["ensemble_members"]
+        assert {name: len(sizes) for name, sizes in calls.items()} == {
+            name: 3 + (name in final) for name in trainers}
+        n_holdout = sum(sum(row) for row in report.confusion)
+        for name, sizes in calls.items():
+            assert sum(sizes[:3]) == len(ds.documents) - n_holdout
+            assert sizes[3:] == ([n_holdout] if name in final else [])
 
 
 class TestCrossValidateErrors:
