@@ -381,8 +381,7 @@ def _cmd_eval(args) -> int:
                 f"{args.pred}: 'probabilities' needs {len(gold)} rows of {len(classes)} "
                 f"columns in 'classes' order, got shape {probs.shape}"
             )
-    # curves are drawn for two classes only; multi-class files are scored on labels
-    report = _report(gold, pred, classes, probs if len(classes) == 2 else None,
+    report = _report(gold, pred, classes, probs,
                      config={"gold": str(args.gold), "pred": str(args.pred)})
     output_dir = Path(args.output_dir) if args.output_dir else Path(args.pred).parent
     artifacts = write_report(report, output_dir)

@@ -86,17 +86,25 @@ class Vocabulary:
         return out
 
 
-def build_vocabulary(docs: Sequence[TokenizedDocument], min_df: int = 1) -> Vocabulary:
-    """Build a Vocabulary from tokens with document frequency >= min_df."""
+def tokens_of(doc) -> Sequence[str]:
+    """The tokens of a TokenizedDocument, or the document itself when it is
+    a bare token sequence."""
+    return doc.tokens if hasattr(doc, "tokens") else doc
+
+
+def build_vocabulary(docs, min_df: int = 1) -> Vocabulary:
+    """Build a Vocabulary from tokens with document frequency >= min_df;
+    ``docs`` are TokenizedDocuments or bare token sequences."""
     if min_df < 1:
         raise ValueError(f"min_df must be >= 1, got {min_df}")
     docs = list(docs)
     cf: dict[str, int] = {}
     df: dict[str, int] = {}
     for doc in docs:
-        for token in doc.tokens:
+        tokens = tokens_of(doc)
+        for token in tokens:
             cf[token] = cf.get(token, 0) + 1
-        for token in set(doc.tokens):
+        for token in set(tokens):
             df[token] = df.get(token, 0) + 1
     surviving = [t for t in cf if df[t] >= min_df]
     if not surviving:

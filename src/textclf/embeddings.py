@@ -8,13 +8,14 @@ All trainers are single-threaded and deterministic for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .base import ParamsMixin, check_random_state, derive_seed, stable_hash
-from .corpus import Vocabulary, build_vocabulary
+from .corpus import Vocabulary, build_vocabulary, tokens_of
 
 __all__ = [
     "TrainSpec",
@@ -149,7 +150,6 @@ class EmbeddingModel:
     seed: int = 0
     epoch_losses: list = field(default_factory=list)
     biases: Optional[tuple] = None
-    _bucket_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("sgns", "glove", "subword"):
@@ -214,13 +214,18 @@ def sgns_pair_step(center_id, context_id, negative_ids, model: EmbeddingModel, l
         vin[center_id], vout[context_id], vout[negative_ids]
     )
     vin[center_id] -= lr * d_center.astype(vin.dtype)
-    vout[context_id] -= lr * d_context.astype(vout.dtype)
-    if len(negative_ids):
-        np.add.at(vout, negative_ids, (-lr * d_negatives).astype(vout.dtype))
+    _update_outputs(vout, context_id, negative_ids, d_context, d_negatives, lr)
     return loss
 
 
-def _context_pairs(ids: np.ndarray, window: int, rng):
+def _update_outputs(vout, context_id, negative_ids, d_context, d_negatives, lr) -> None:
+    """The gradient step on a pair's context row and negative rows."""
+    vout[context_id] -= lr * d_context.astype(vout.dtype)
+    if len(negative_ids):
+        np.add.at(vout, negative_ids, (-lr * d_negatives).astype(vout.dtype))
+
+
+def _context_pairs(ids: list, window: int, rng):
     """Yield (center, context) index pairs with per-center window subsampling."""
     n = len(ids)
     for t in range(n):
@@ -232,13 +237,13 @@ def _context_pairs(ids: np.ndarray, window: int, rng):
                 yield t, j
 
 
-def _encode_for_training(docs, vocab) -> list[np.ndarray]:
+def _encode_for_training(docs, vocab) -> list[list[int]]:
+    """In-vocabulary ids of each document that has any."""
     encoded = []
     for doc in docs:
-        tokens = doc.tokens if hasattr(doc, "tokens") else doc
-        ids = [vocab.token_to_id[t] for t in tokens if t in vocab.token_to_id]
+        ids = [vocab.token_to_id[t] for t in tokens_of(doc) if t in vocab.token_to_id]
         if ids:
-            encoded.append(np.array(ids, dtype=np.int64))
+            encoded.append(ids)
     return encoded
 
 
@@ -246,46 +251,45 @@ def train_sgns(docs, vocab: Vocabulary, spec: TrainSpec) -> EmbeddingModel:
     """Skip-gram training over all in-window pairs, one pass per epoch."""
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
-    encoded = _encode_for_training(docs, vocab)
-    if not encoded:
-        raise ValueError("corpus has no in-vocabulary tokens")
     rng = check_random_state(spec.seed)
-    vin = _init_input_table(len(vocab) + 1, spec.dim, rng)
-    vout = np.zeros((len(vocab) + 1, spec.dim), dtype=np.float32)
     model = EmbeddingModel(
         kind="sgns",
         dim=spec.dim,
         vocab=vocab,
-        input_vectors=vin,
-        output_vectors=vout,
+        input_vectors=_init_input_table(len(vocab) + 1, spec.dim, rng),
+        output_vectors=np.zeros((len(vocab) + 1, spec.dim), dtype=np.float32),
         seed=spec.seed,
     )
-    _run_sgns_epochs(model, encoded, spec, subword=False)
-    return model
+    step = partial(sgns_pair_step, model=model, lr=spec.learning_rate)
+    return _fit_skipgram(model, docs, spec, step)
 
 
-def _run_sgns_epochs(model, encoded, spec, subword: bool):
+def _fit_skipgram(model: EmbeddingModel, docs, spec: TrainSpec, step) -> EmbeddingModel:
+    """Skip-gram epochs over every in-window pair of ``docs``.
+
+    ``step(center_id, context_id, negative_ids)`` updates the model's
+    tables for one pair and returns its loss.  The fit stops with
+    FloatingPointError at the first epoch whose mean loss is not finite.
+    """
+    encoded = _encode_for_training(docs, model.vocab)
+    if not encoded:
+        raise ValueError("corpus has no in-vocabulary tokens")
     sampler = NegativeSampler(
         model.vocab.frequencies_array(), spec.power, seed=derive_seed(spec.seed, "sampler")
     )
     rng = check_random_state(derive_seed(spec.seed, "windows"))
-    for _ in range(spec.epochs):
+    for epoch in range(1, spec.epochs + 1):
         total, count = 0.0, 0
         for ids in encoded:
             for t, j in _context_pairs(ids, spec.window, rng):
-                negatives = sampler.draw_excluding(int(ids[j]), spec.negatives)
-                if subword:
-                    loss = _subword_pair_step(
-                        model, ids[t], int(ids[j]), negatives, spec.learning_rate
-                    )
-                else:
-                    loss = sgns_pair_step(
-                        int(ids[t]), int(ids[j]), negatives, model, spec.learning_rate
-                    )
-                total += loss
+                total += step(ids[t], ids[j], sampler.draw_excluding(ids[j], spec.negatives))
                 count += 1
-        model.epoch_losses.append(total / max(count, 1))
+        mean = total / max(count, 1)
+        if not np.isfinite(mean):
+            raise FloatingPointError(f"epoch {epoch} has a non-finite mean loss ({mean})")
+        model.epoch_losses.append(mean)
     model._check_finite()
+    return model
 
 
 # -- co-occurrence factorization ------------------------------------------
@@ -314,9 +318,7 @@ def build_cooccurrence(docs, window: int, vocab: Optional[Vocabulary] = None) ->
     if vocab is None:
         vocab = build_vocabulary(docs, min_df=1)
     counts: dict[tuple[int, int], float] = {}
-    for doc in docs:
-        tokens = doc.tokens if hasattr(doc, "tokens") else doc
-        ids = [vocab.token_to_id[t] for t in tokens if t in vocab.token_to_id]
+    for ids in _encode_for_training(docs, vocab):
         n = len(ids)
         for t in range(n):
             lo = max(0, t - window)
@@ -435,43 +437,12 @@ def subword_pair_loss_and_grads(bucket_vecs, context_out, negative_outs):
     return loss, d_buckets, d_context, d_negatives
 
 
-def _subword_pair_step(model: EmbeddingModel, center_id, context_id, negative_ids, lr) -> float:
-    negative_ids = np.asarray(negative_ids, dtype=np.int64)
-    if np.any(negative_ids == context_id):
-        raise ValueError(f"negative id equals context id {context_id}")
-    token = model.vocab.id_to_token[int(center_id)]
-    bucket_ids = model._bucket_cache.get(token)
-    if bucket_ids is None:
-        bucket_ids = np.array(
-            subword_ngrams(token, model.nmin, model.nmax, model.bucket_count), dtype=np.int64
-        )
-        model._bucket_cache[token] = bucket_ids
-    buckets = model.bucket_vectors
-    vout = model.output_vectors
-    loss, d_buckets, d_context, d_negatives = subword_pair_loss_and_grads(
-        buckets[bucket_ids], vout[context_id], vout[negative_ids]
-    )
-    np.add.at(buckets, bucket_ids, (-lr * d_buckets).astype(buckets.dtype))
-    vout[context_id] -= lr * d_context.astype(vout.dtype)
-    if len(negative_ids):
-        np.add.at(vout, negative_ids, (-lr * d_negatives).astype(vout.dtype))
-    return loss
-
-
-def _compose_subword(model: EmbeddingModel, word: str) -> np.ndarray:
-    ids = subword_ngrams(word, model.nmin, model.nmax, model.bucket_count)
-    return model.bucket_vectors[np.array(ids, dtype=np.int64)].mean(axis=0)
-
-
 def train_subword_sgns(docs, vocab: Vocabulary, spec: TrainSpec) -> EmbeddingModel:
     """Skip-gram over bucket-composed centers; distributes gradients to
     every contributing bucket row and materializes word vectors afterwards.
     """
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
-    encoded = _encode_for_training(docs, vocab)
-    if not encoded:
-        raise ValueError("corpus has no in-vocabulary tokens")
     rng = check_random_state(spec.seed)
     buckets = rng.uniform(
         -0.5 / spec.dim, 0.5 / spec.dim, size=(spec.bucket_count, spec.dim)
@@ -489,9 +460,24 @@ def train_subword_sgns(docs, vocab: Vocabulary, spec: TrainSpec) -> EmbeddingMod
         bucket_count=spec.bucket_count,
         seed=spec.seed,
     )
-    _run_sgns_epochs(model, encoded, spec, subword=True)
-    for token, token_id in vocab.token_to_id.items():
-        model.input_vectors[token_id] = _compose_subword(model, token)
+    # bucket rows of each vocabulary id, hashed once for training and composition
+    rows = {token_id: np.array(subword_ngrams(token, spec.nmin, spec.nmax, spec.bucket_count),
+                               dtype=np.int64)
+            for token, token_id in vocab.token_to_id.items()}
+    lr = spec.learning_rate
+
+    def step(center_id, context_id, negative_ids):
+        center_rows = rows[center_id]
+        loss, d_buckets, d_context, d_negatives = subword_pair_loss_and_grads(
+            buckets[center_rows], vout[context_id], vout[negative_ids]
+        )
+        np.add.at(buckets, center_rows, (-lr * d_buckets).astype(buckets.dtype))
+        _update_outputs(vout, context_id, negative_ids, d_context, d_negatives, lr)
+        return loss
+
+    _fit_skipgram(model, docs, spec, step)
+    for token_id, center_rows in rows.items():
+        model.input_vectors[token_id] = buckets[center_rows].mean(axis=0)
     return model
 
 
@@ -524,7 +510,8 @@ def vector(model: EmbeddingModel, word: str, oov_strategy: str = "error") -> np.
         rng = np.random.default_rng(derive_seed(model.seed, "oov-pick", word))
         pick = int(rng.integers(1, len(model.vocab) + 1))
         return model.input_vectors[pick].copy()
-    return _compose_subword(model, word).astype(model.input_vectors.dtype)
+    ids = np.array(subword_ngrams(word, model.nmin, model.nmax, model.bucket_count), dtype=np.int64)
+    return model.bucket_vectors[ids].mean(axis=0).astype(model.input_vectors.dtype)
 
 
 def nearest_neighbors(model: EmbeddingModel, word: str, k: int, oov_strategy: Optional[str] = None):

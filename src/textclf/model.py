@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .base import ConfigurationError, ParamsMixin, check_random_state, derive_seed
-from .corpus import Vocabulary, build_vocabulary, encode_document
+from .corpus import Vocabulary, build_vocabulary, encode_document, tokens_of
 from .embeddings import EmbeddingModel, TrainSpec, subword_ngrams, vector
 from .eval import confusion_matrix, macro_prf
 from . import nn
@@ -295,16 +295,14 @@ def build_conv_lstm(cfg: ConvLstmConfig, embeddings: Optional[EmbeddingModel] = 
 
 
 def train_network(net: ConvLstmNetwork, train_data, valid_data=None, epochs: int = 10,
-                  batch_size: int = 128, learning_rate: float = 0.05, seed: int = 0,
-                  optimizer=nn.Adagrad) -> TrainHistory:
-    """Mini-batch training of the classifier graph.
+                  batch_size: int = 128, learning_rate: float = 0.05,
+                  seed: int = 0) -> TrainHistory:
+    """Mini-batch Adagrad training of the classifier graph.
 
     ``train_data``/``valid_data`` are (ids, labels) pairs of integer
-    arrays.  ``optimizer`` is a factory called as
-    optimizer(params, learning_rate=...); the adaptive-gradient default
-    matches the rest of the workbench.  Dropout and noise are active only
-    while training; the embedding padding row is pinned to zero.  Runs
-    are deterministic for a fixed seed.
+    arrays.  Dropout and noise are active only while training; the
+    embedding padding row is pinned to zero.  Runs are deterministic for
+    a fixed seed.
     """
     ids, labels = train_data
     ids = np.asarray(ids, dtype=np.int64)
@@ -319,7 +317,7 @@ def train_network(net: ConvLstmNetwork, train_data, valid_data=None, epochs: int
     if epochs == 0:
         return history
     start = time.perf_counter()
-    optimizer = optimizer(net.parameters(), learning_rate=learning_rate)
+    optimizer = nn.Adagrad(net.parameters(), learning_rate=learning_rate)
     shuffle_rng = check_random_state(derive_seed(seed, "shuffle"))
     layer_rng = check_random_state(derive_seed(seed, "layers"))
     n_batches = -(-len(ids) // batch_size)
@@ -435,7 +433,7 @@ class ConvLstmClassifier(_Classifier):
 
     def _encode(self, docs) -> np.ndarray:
         return np.stack([
-            encode_document(_tokens_of(doc), self.vocab_, self.seq_len) for doc in docs
+            encode_document(tokens_of(doc), self.vocab_, self.seq_len) for doc in docs
         ])
 
     def fit(self, docs, labels, valid=None):
@@ -444,7 +442,7 @@ class ConvLstmClassifier(_Classifier):
         n_classes = self.n_classes or len(self.classes_)
         if len(self.classes_) < 2:
             raise ValueError("training set has a single class")
-        self.vocab_ = build_vocabulary([_as_doc(d) for d in docs], min_df=self.min_df)
+        self.vocab_ = build_vocabulary(docs, min_df=self.min_df)
         self.config_ = self._make_config(n_classes)
         self.network_ = ConvLstmNetwork(
             self.config_, len(self.vocab_), seed=self.seed,
@@ -489,18 +487,6 @@ class ConvLstmClassifier(_Classifier):
             tensor.data[...] = arrays[name]
 
 
-def _tokens_of(doc):
-    return doc.tokens if hasattr(doc, "tokens") else doc
-
-
-def _as_doc(doc):
-    if hasattr(doc, "tokens"):
-        return doc
-    from .pipeline import TokenizedDocument
-
-    return TokenizedDocument(id="", tokens=tuple(doc), label=None)
-
-
 # -- TF-IDF features and baselines -------------------------------------------
 
 
@@ -531,7 +517,7 @@ class TfidfFeaturizer(ParamsMixin):
         self.word_unigrams = word_unigrams
 
     def _doc_features(self, doc) -> dict:
-        tokens = list(_tokens_of(doc))
+        tokens = list(tokens_of(doc))
         counts: dict[str, int] = {}
         if self.word_unigrams:
             for token in tokens:
@@ -658,6 +644,8 @@ class _CosineKnn(ParamsMixin):
         self.train_ = _unit_rows(X)
         classes, self.label_ids_ = np.unique(np.asarray(y), return_inverse=True)
         self.classes_ = classes.tolist()
+        if len(self.classes_) < 2:
+            raise ValueError("kNN needs at least two classes")
         return self
 
     def predict_proba(self, X):
@@ -821,9 +809,9 @@ class FastTextClassifier(_Classifier):
             raise ValueError("need bucket_count >= 1 and 1 <= nmin <= nmax, got "
                              f"{self.bucket_count} and {self.nmin}..{self.nmax}")
         self.classes_ = sorted(set(labels))
-        self.vocab_ = vocab if vocab is not None else build_vocabulary(
-            [_as_doc(d) for d in docs], min_df=self.min_df
-        )
+        if len(self.classes_) < 2:
+            raise ValueError("training set has a single class")
+        self.vocab_ = vocab if vocab is not None else build_vocabulary(docs, min_df=self.min_df)
         self._token_rows = {}
         rng = check_random_state(self.seed)
         n_rows = len(self.vocab_) + 1 + (self.bucket_count if self.use_subword else 0)
@@ -833,7 +821,7 @@ class FastTextClassifier(_Classifier):
         self.projection_ = np.zeros((self.dim, len(self.classes_)), dtype=np.float64)
         acc_lookup = np.full_like(self.lookup_, 1e-8)
         acc_proj = np.full_like(self.projection_, 1e-8)
-        encoded = [self._feature_ids(_tokens_of(d)) for d in docs]
+        encoded = [self._feature_ids(tokens_of(d)) for d in docs]
         ranked = [_by_occurrence(ids) for ids in encoded]
         y = np.array([self.classes_.index(l) for l in labels])
         order_rng = check_random_state(derive_seed(self.seed, "order"))
@@ -865,7 +853,7 @@ class FastTextClassifier(_Classifier):
         docs = list(docs)
         out = np.zeros((len(docs), len(self.classes_)))
         for r, doc in enumerate(docs):
-            ids = self._feature_ids(_tokens_of(doc))
+            ids = self._feature_ids(tokens_of(doc))
             out[r] = _softmax(self.lookup_[ids].mean(axis=0) @ self.projection_)
         return out
 

@@ -259,6 +259,17 @@ class TestTrainPredictEval:
                           "--output-dir", str(tmp_path / "r"), "--model", "fasttext"])
         assert rc == 2
 
+    @pytest.mark.parametrize("model", ["convlstm", "fasttext", "logreg", "nb", "knn"])
+    def test_single_class_corpus_is_data_error(self, tmp_path, capsys, model):
+        path = tmp_path / "one.tsv"
+        path.write_text("A\tx y z\nA\ty z w\nA\tz w x\n", encoding="utf-8")
+        outdir = tmp_path / "r"
+        rc = run_command(["train", "--input", str(path), "--output-dir", str(outdir),
+                          "--model", model, "--epochs", "1"])
+        assert rc == 2
+        assert "class" in capsys.readouterr().err
+        assert not (outdir / "model").exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--model", "fasttext", "--emb-dim", "0"], "dim"),
         (["--model", "fasttext", "--epochs", "-1"], "epochs"),
@@ -321,6 +332,27 @@ class TestTrainPredictEval:
         assert (out / "calibration.csv").exists()
         report = json.loads((out / "report.json").read_text())
         assert report["holdout_metrics"]["auc"] == 1.0
+
+    def test_eval_three_classes_with_probabilities_emits_one_vs_rest_curves(self, tmp_path):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("a\tx\nb\ty\nc\tz\na\tw\nb\tv\nc\tu\n", encoding="utf-8")
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps({
+            "labels": ["a", "b", "c", "a", "c", "c"],
+            "classes": ["a", "b", "c"],
+            "probabilities": [[0.8, 0.1, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7],
+                              [0.6, 0.3, 0.1], [0.1, 0.4, 0.5], [0.2, 0.1, 0.7]],
+        }), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_command(["eval", "--gold", str(gold), "--pred", str(pred),
+                            "--output-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(report["roc"]["per_class"]) == ["a", "b", "c"]
+        assert report["roc"]["macro_auc"] == 1.0
+        rows = (out / "roc.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "x,y,class"
+        assert {row.rsplit(",", 1)[1] for row in rows[1:]} == {"a", "b", "c"}
+        assert not (out / "calibration.csv").exists()
 
     def test_eval_binary_score_vector_equals_two_columns(self, tmp_path):
         gold = tmp_path / "gold.tsv"

@@ -189,7 +189,45 @@ class TestTrainSgns:
         np.testing.assert_array_equal(model.input_vectors[0], 0.0)
 
 
+class TestSkipGramFit:
+    @pytest.mark.parametrize("train", [train_sgns, train_subword_sgns])
+    def test_stops_at_first_non_finite_epoch(self, two_cluster_docs, train):
+        docs, _, _ = two_cluster_docs
+        vocab = build_vocabulary(docs, 1)
+        spec = TrainSpec(dim=8, epochs=5, learning_rate=1e30, bucket_count=512)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=r"epoch 1\b"):
+            train(docs, vocab, spec)
+
+    def test_one_pair_step_and_one_negative_draw_per_pair(self, two_cluster_docs, monkeypatch):
+        import textclf.embeddings as emb
+
+        calls = {"sgns": 0, "subword": 0, "draws": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(emb, "sgns_pair_step", counting("sgns", emb.sgns_pair_step))
+        monkeypatch.setattr(emb, "subword_pair_loss_and_grads",
+                            counting("subword", emb.subword_pair_loss_and_grads))
+        monkeypatch.setattr(NegativeSampler, "draw_excluding",
+                            counting("draws", NegativeSampler.draw_excluding))
+        docs, _, _ = two_cluster_docs
+        vocab = build_vocabulary(docs, 1)
+        spec = TrainSpec(dim=6, window=3, negatives=2, epochs=2, seed=4, bucket_count=256)
+        train_sgns(docs, vocab, spec)
+        sgns_draws, calls["draws"] = calls["draws"], 0
+        train_subword_sgns(docs, vocab, spec)
+        assert calls["sgns"] == calls["subword"] == sgns_draws == calls["draws"] > 0
+
+
 class TestCooccurrence:
+    def test_bare_token_lists_count_like_documents(self):
+        rows = [["a", "b", "c", "a"], ["c", "c", "b"], []]
+        assert build_cooccurrence(rows, 2).counts == build_cooccurrence(docs_from(rows), 2).counts
+
     def test_hand_enumeration(self):
         docs = docs_from([["a", "b", "a"]])
         cooc = build_cooccurrence(docs, 1)
@@ -477,6 +515,21 @@ class TestVectorFile:
 
 
 class TestEstimators:
+    @pytest.mark.parametrize("estimator", [
+        SkipGramEmbedding(dim=6, epochs=2, negatives=2, seed=5),
+        SubwordEmbedding(dim=6, epochs=2, negatives=2, nmin=2, nmax=3, bucket_count=256, seed=5),
+        GloveEmbedding(dim=6, epochs=2, seed=5),
+    ], ids=["sgns", "subword", "glove"])
+    def test_bare_token_lists_train_like_documents(self, two_cluster_docs, estimator):
+        docs, _, _ = two_cluster_docs
+        bare = estimator.fit([list(d.tokens) for d in docs]).model_
+        wrapped = estimator.fit(docs).model_
+        assert bare.vocab.tokens == wrapped.vocab.tokens
+        for name in ("input_vectors", "output_vectors", "bucket_vectors"):
+            a, b = getattr(bare, name), getattr(wrapped, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+        assert bare.epoch_losses == wrapped.epoch_losses
+
     def test_skipgram_estimator(self, two_cluster_docs):
         docs, cluster_a, _ = two_cluster_docs
         est = SkipGramEmbedding(dim=8, epochs=1, negatives=2, seed=0)
